@@ -290,10 +290,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         result = {"wr": ok}
         recs.append(_cert_record(cert))
         if ok:
-            w = find_word(g, args.max_occurrence)
-            if w is not None:
-                result["word"] = list(w)
-                recs.append({"kind": WORD, "letters": list(w)})
+            w = list(find_word(g))
+            result["word"] = w
+            recs.append({"kind": WORD, "letters": w})
         else:
             result["witness"] = list(cert.payload)
     _emit(_document(g, label, result, recs, t0))
@@ -494,13 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=None, metavar="NODES",
                         help="search-node budget for the exact cover search")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker cap (the current implementation is single-process)")
     common.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="seed for sampled checks (bound command)")
-    common.add_argument("--max-occurrence", type=int, default=3, metavar="K",
-                        dest="max_occurrence",
-                        help="per-letter occurrence cap for the word search")
     common.add_argument("--format", choices=("json", "g6", "dot"), default="json",
                         help="output format; g6 and dot apply to lex")
 

@@ -68,10 +68,6 @@ __all__ = [
 ]
 
 
-def _spanning(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph.from_edges(n, list(edges))
-
-
 def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
     """Wrap an exact-search cover result as a Decomposition of g. An exact
     count of two or more is carried over as a certified lower bound, with
@@ -94,7 +90,7 @@ def _wr_orientation(g: Graph) -> Orientation:
 def _part_orientation(part: Part, host_n: int) -> Orientation:
     """A semi-transitive orientation of a cover part's spanning subgraph,
     reusing the part's own certificate when it already is one."""
-    sub = _spanning(host_n, part.edges)
+    sub = Graph.from_edges(host_n, part.edges)
     cert = part.certificate
     if cert.kind in (SEMI_TRANSITIVE, TRANSITIVE) and cert.payload.host == sub:
         return cert.payload
@@ -117,7 +113,7 @@ def _replicate(
     arcs = [
         (u + i * size, v + i * size) for i in range(copies) for u, v in o.arcs()
     ]
-    sub = _spanning(host_n, new_edges)
+    sub = Graph.from_edges(host_n, new_edges)
     return new_edges, Orientation.from_arcs(sub, arcs)
 
 
@@ -238,7 +234,7 @@ def decompose_power_two_comparability(
         es = edge_set(raw)
         if not es <= edge_set(g.edges()):
             raise InputError(f"split class {name} uses non-edges of the base graph")
-        ok, cert = comparability_decide(_spanning(g.n, es))
+        ok, cert = comparability_decide(Graph.from_edges(g.n, es))
         if not ok:
             raise InputError(f"split class {name} is not a comparability subgraph")
         halves.append((es, cert.payload))
@@ -331,7 +327,7 @@ def decompose_product_tight(
         es = edge_set(raw)
         if not es <= edge_set(g2.edges()):
             raise InputError(f"split class {idx} uses non-edges of the inner factor")
-        ok, cert = comparability_decide(_spanning(g2.n, es))
+        ok, cert = comparability_decide(Graph.from_edges(g2.n, es))
         if not ok:
             raise InputError(f"split class {idx} is not a comparability subgraph")
         fills.append((es, cert.payload))
@@ -339,7 +335,7 @@ def decompose_product_tight(
     if covered != edge_set(g2.edges()):
         raise InputError("split classes must union to the inner factor's edges")
     while len(fills) < k1:
-        fills.append((frozenset(), Orientation(_spanning(g2.n, []), (0,) * g2.n)))
+        fills.append((frozenset(), Orientation(Graph.from_edges(g2.n, []), (0,) * g2.n)))
 
     parts = []
     for part, (fill_edges, fill_o) in zip(d1.parts, fills):
@@ -419,7 +415,7 @@ def decompose_min_nonwr_product(
         star_fills.append([(root, b) for b in g2.neighbors(root)])
     mq = lex_map(q, g1r.edges())
     sq = special_subgraph(mq, star_fills)
-    greens = [comparability_decide(_spanning(m, fill))[1].payload for fill in star_fills]
+    greens = [comparability_decide(Graph.from_edges(m, fill))[1].payload for fill in star_fills]
     comb = orient_special(sq, _wr_orientation(g1r), greens)
     qmap = [st.flat(others[i], a) for i in range(len(others)) for a in range(m)]
     arcs1 += embed_arcs(comb, qmap)
@@ -429,7 +425,7 @@ def decompose_min_nonwr_product(
     }
     part1 = Part(
         frozenset(edges1),
-        Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(_spanning(host.n, edges1), arcs1)),
+        Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(Graph.from_edges(host.n, edges1), arcs1)),
     )
 
     # part two: leftover interiors — the dropped vertex's star inside R,
@@ -438,7 +434,7 @@ def decompose_min_nonwr_product(
     arcs2 = []
     drop_star = [(drop, b) for b in g2.neighbors(drop)]
     arcs2 += embed_arcs(
-        comparability_decide(_spanning(m, drop_star))[1].payload,
+        comparability_decide(Graph.from_edges(m, drop_star))[1].payload,
         [st.flat(r, a) for a in range(m)],
     )
     edges2 |= {
@@ -456,13 +452,13 @@ def decompose_min_nonwr_product(
         }
     part2 = Part(
         frozenset(edges2),
-        Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(_spanning(host.n, edges2), arcs2)),
+        Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(Graph.from_edges(host.n, edges2), arcs2)),
     )
 
     # part three: the map of the outer star at r — all cross edges into R
     outer_star = [(r, j) for j in g1.neighbors(r)]
     m3 = lex_map(p, outer_star)
-    red3 = lift_semi_transitive(m3, _wr_orientation(_spanning(n, outer_star)))
+    red3 = lift_semi_transitive(m3, _wr_orientation(Graph.from_edges(n, outer_star)))
     part3 = Part(edge_set(m3.graph.edges()), Certificate(SEMI_TRANSITIVE, red3))
 
     all_parts = (part1, part2, part3)

@@ -100,98 +100,6 @@ def word_represents(w: Word, g: Graph) -> bool:
     return graph_of_word(w, g.n) == g
 
 
-def find_word(g: Graph, max_occurrence: int = 3) -> Optional[tuple[int, ...]]:
-    """Search for a uniform representing word, trying k copies per letter
-    for k = 1..max_occurrence, smallest k first.
-
-    Only words starting with letter 0 are explored: a uniform representing
-    word stays representing under rotation, so some rotation has that form.
-    Exhausting the cap without a hit proves nothing about representability;
-    None only means "not found within the cap".
-    """
-    if max_occurrence < 1:
-        raise InputError("occurrence cap must be at least 1")
-    if g.n == 0:
-        return ()
-    for k in range(1, max_occurrence + 1):
-        w = _uniform_search(g, k)
-        if w is not None:
-            assert word_represents(w, g)
-            return w
-    return None
-
-
-def _uniform_search(g: Graph, k: int) -> Optional[tuple[int, ...]]:
-    n, adj = g.n, g.adj
-    total = n * k
-    counts = [0] * n
-    last = [[-1] * n for _ in range(n)]
-    broken = [[False] * n for _ in range(n)]
-    word = [0] * total
-
-    def feasible(c: int) -> Optional[list[tuple[int, int, int, bool]]]:
-        """Append c: update pair states, or None if some pair is now dead."""
-        trail = []
-        for d in range(n):
-            if d == c:
-                continue
-            old = (c, d, last[c][d], broken[c][d])
-            b = broken[c][d]
-            if last[c][d] == c:
-                b = True
-            if b and adj[c] >> d & 1:
-                return trail  # incomplete trail signals failure to caller
-            trail.append(old)
-            last[c][d] = last[d][c] = c
-            broken[c][d] = broken[d][c] = b
-        return trail
-
-    def undo(trail):
-        for c, d, lv, bv in trail:
-            last[c][d] = last[d][c] = lv
-            broken[c][d] = broken[d][c] = bv
-
-    def pair_dead(c: int) -> bool:
-        """After placing c, check pairs whose outcome is already forced."""
-        for d in range(n):
-            if d == c:
-                continue
-            if counts[c] == k and counts[d] == k:
-                if broken[c][d] != (not adj[c] >> d & 1):
-                    return True
-            elif counts[c] == k and not broken[c][d]:
-                # no more c's: every remaining d lands after the final c
-                rem = k - counts[d]
-                if adj[c] >> d & 1:
-                    if rem >= 2 or (rem == 1 and last[c][d] == d):
-                        return True
-                elif rem == 1 and last[c][d] == c:
-                    return True  # would end up alternating despite no edge
-        return False
-
-    def dfs(pos: int) -> bool:
-        if pos == total:
-            return True
-        for c in range(n):
-            if counts[c] == k:
-                continue
-            if pos == 0 and c != 0:
-                break
-            trail = feasible(c)
-            complete = len(trail) == n - 1
-            if complete:
-                counts[c] += 1
-                if not pair_dead(c):
-                    word[pos] = c
-                    if dfs(pos + 1):
-                        return True
-                counts[c] -= 1
-            undo(trail)
-        return False
-
-    return tuple(word) if dfs(0) else None
-
-
 # ── orientation predicates ───────────────────────────────────────────────
 
 
@@ -519,11 +427,82 @@ def is_minimal_non_wr(g: Graph) -> bool:
     )
 
 
+# ── words from orientations ──────────────────────────────────────────────
+
+
+def word_from_orientation(o: Orientation) -> tuple[int, ...]:
+    """A uniform word representing o's host, with at most 2n copies per
+    letter, built from a semi-transitive orientation (the constructive
+    direction of Halldórsson, Kitaev & Pyatkin, DAM 201, 2016).
+
+    For each vertex x with an incomparable non-neighbour or a non-adjacent
+    descendant, let B be x's non-adjacent descendants and R = V - B, and
+    append the block q1|R . q2 . q2|B, where
+      * q1 is a topological order of o on R with x after every
+        non-descendant of x, and
+      * q2 is a topological order of o with every arc from R into B
+        reversed and x before every non-ancestor of x.
+    Every letter occurs twice per block. With no block at all the host is
+    complete and one topological order represents it.
+
+    Edges alternate. No arc runs from B into R: its head would be a
+    descendant of x adjacent to x, so x ~> b -> head with x -> head would be
+    a shortcut skipping the non-edge x, b. Hence an arc u -> v keeps its
+    direction in q1|R, in q2 (within R or within B) and in q2|B, and an arc
+    from R into B reads u, then v u in q2, then v. Either way every block
+    restricts to u v u v, and so does the whole word.
+
+    Non-edges do not. In x's block an incomparable non-neighbour c reads
+    c x x c and a non-adjacent descendant b reads x x b b. A non-adjacent
+    ancestor of x is separated in its own block, where x is the descendant.
+
+    Both orders exist. In q1 the extra arcs all end at x and every vertex
+    reachable from x is a descendant, so they close no cycle. In q2 the
+    reversed arcs all run from B into R, which no kept arc leaves, and the
+    ancestors of x together with x have no predecessor outside them: an
+    arc from an ancestor of x into B would be a shortcut past x. So no arc
+    returns to x from the non-ancestors it is placed before.
+    """
+    if not check_semi_transitive(o):
+        raise InputError("orientation is not semi-transitive")
+    n, out, adj = o.host.n, o.out, o.host.adj
+    order = _topo_order(out, n)
+    reach = _strict_reach(out, n, order)
+    anc = [0] * n
+    for a in range(n):
+        for b in bits(reach[a]):
+            anc[b] |= 1 << a
+    full = (1 << n) - 1
+    word: list[int] = []
+    for x in range(n):
+        b_set = reach[x] & ~adj[x]
+        if not b_set and not full & ~(reach[x] | anc[x] | 1 << x):
+            continue
+        r_set = full & ~b_set
+        out1 = [out[u] & r_set if r_set >> u & 1 else 0 for u in range(n)]
+        for y in bits(r_set & ~reach[x] & ~(1 << x)):
+            out1[y] |= 1 << x
+        out2 = [out[u] & r_set if r_set >> u & 1 else out[u] for u in range(n)]
+        for u in bits(r_set):
+            for v in bits(out[u] & b_set):
+                out2[v] |= 1 << u
+        out2[x] |= full & ~anc[x] & ~(1 << x)
+        q2 = _topo_order(out2, n)
+        word += [v for v in _topo_order(out1, n) if r_set >> v & 1]
+        word += q2
+        word += [v for v in q2 if b_set >> v & 1]
+    return tuple(word) if word else tuple(order)
+
+
+def find_word(g: Graph) -> Optional[tuple[int, ...]]:
+    """A uniform word representing g, built by `word_from_orientation` from
+    the semi-transitive orientation `wr_decide` finds; None exactly when g
+    is not word-representable."""
+    ok, cert = wr_decide(g)
+    return word_from_orientation(cert.payload) if ok else None
+
+
 # ── cover number over representable parts ────────────────────────────────
-
-
-def _part_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph.from_edges(n, list(edges))
 
 
 def _cover_search(g: Graph, k: int, limit: Optional[int]) -> Optional[list[frozenset]]:
@@ -614,7 +593,7 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
             continue
         if cover is not None:
             parts = tuple(
-                Part(es, wr_decide(_part_graph(g.n, es))[1]) for es in cover
+                Part(es, wr_decide(Graph.from_edges(g.n, es))[1]) for es in cover
             )
             status = "exact" if all_exhausted else "upper-bound"
             return MuResult(k, parts, all_exhausted, status)
@@ -675,7 +654,7 @@ def verify_decomposition(g: Graph, d) -> list[str]:
         if part.certificate.kind in (WITNESS, NON_COMPARABILITY):
             diags.append(f"part {idx}: a witness cannot certify a part")
             continue
-        sub = _part_graph(g.n, es)
+        sub = Graph.from_edges(g.n, es)
         diags += [f"part {idx}: {msg}" for msg in verify_certificate(sub, part.certificate)]
     missing = geedges - seen
     if missing:

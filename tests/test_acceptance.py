@@ -8,7 +8,7 @@ import random
 import time
 from itertools import combinations
 
-from oracles import semi_transitive_by_paths
+from oracles import graph_by_restriction, semi_transitive_by_paths
 from wordrep.certificates import TRANSITIVE
 from wordrep.decomposition import (
     as_decomposition,
@@ -42,6 +42,7 @@ from wordrep.recognition import (
     is_minimal_non_wr,
     mu_exact,
     mu_verify,
+    word_from_orientation,
     wr_decide,
     wr_with_dominating_vertex,
 )
@@ -169,7 +170,22 @@ def test_criterion_07_power_bound_structure():
 def test_criterion_08_orientation_oracle_agreement():
     t0 = time.perf_counter()
     checked = 0
+    words = 0
     ok = True
+
+    def agree(g: Graph, arcs) -> bool:
+        """The path oracle agrees with the checker, and every orientation
+        that passes yields a word the restriction oracle maps back to g."""
+        nonlocal words
+        o = Orientation.from_arcs(g, arcs)
+        passes = check_semi_transitive(o)
+        if passes != semi_transitive_by_paths(g.n, arcs):
+            return False
+        if passes:
+            words += 1
+            return graph_by_restriction(word_from_orientation(o), g.n) == g
+        return True
+
     for n in range(6):
         pairs = list(combinations(range(n), 2))
         for gmask in range(1 << len(pairs)):
@@ -178,20 +194,20 @@ def test_criterion_08_orientation_oracle_agreement():
             for omask in range(1 << len(edges)):
                 arcs = [(v, u) if omask >> i & 1 else (u, v)
                         for i, (u, v) in enumerate(edges)]
-                o = Orientation.from_arcs(g, arcs)
-                ok = ok and check_semi_transitive(o) == semi_transitive_by_paths(n, arcs)
+                ok = ok and agree(g, arcs)
                 checked += 1
     exhaustive = checked
+    ok = ok and words == 17_782
     rng = random.Random(8)
     for n in (6, 7):
         for _ in range(10_000):
             g = _random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
             arcs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
-            o = Orientation.from_arcs(g, arcs)
-            ok = ok and check_semi_transitive(o) == semi_transitive_by_paths(n, arcs)
+            ok = ok and agree(g, arcs)
             checked += 1
     ok = ok and exhaustive == 59_810 and checked == 79_810
-    _report(8, ok, f"path oracle agrees on {checked} orientations",
+    _report(8, ok, f"path oracle agrees on {checked} orientations, "
+            f"{words} words from them represent their hosts",
             time.perf_counter() - t0, 300.0)
 
 

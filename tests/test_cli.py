@@ -5,12 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wordrep.cli import main
 from wordrep.formats import encode_graph6, parse_graph
 from wordrep.graphs import extremal8
+from wordrep.recognition import word_represents
 
 H8 = "G|fJH{"
 C5 = "Dhc"
@@ -53,6 +55,22 @@ def test_check_wr_cycle():
     assert "semi-transitive-orientation" in kinds
     assert "word" in kinds
     assert reverify(out) == 0
+
+
+def test_check_wr_carries_a_word_for_every_representable_corpus_graph():
+    corpus = Path(__file__).parent / "data" / "graphs6.g6"
+    representable = 0
+    for line in corpus.read_text().split():
+        code, out, _ = run(["check", "--wr", line])
+        assert code == 0
+        d = doc(out)
+        if not d["result"]["wr"]:
+            continue
+        representable += 1
+        words = [c["letters"] for c in d["certificates"] if c["kind"] == "word"]
+        assert words == [d["result"]["word"]]
+        assert word_represents(words[0], parse_graph(line))
+    assert representable == 155
 
 
 def test_check_wr_extremal_false_with_witness():

@@ -44,6 +44,7 @@ from wordrep.recognition import (
     mu_verify,
     verify_certificate,
     verify_decomposition,
+    word_from_orientation,
     word_represents,
     wr_decide,
     wr_with_dominating_vertex,
@@ -105,31 +106,40 @@ def test_word_represents(c5):
         word_represents([0, 1, 2, 3], c5)  # vertex 4 missing
 
 
+def _assert_uniform_word(w, g):
+    assert word_represents(w, g)
+    counts = {w.count(v) for v in range(g.n)}
+    assert len(counts) == 1 and counts.pop() <= 2 * g.n
+
+
 def test_find_word_small_cases(c5, w5):
-    assert find_word(complete_graph(3), 1) == (0, 1, 2)
-    w = find_word(empty_graph(2), 2)
-    assert w is not None and sorted(w) == [0, 0, 1, 1]
-    assert word_represents(w, empty_graph(2))
-    # C5 has no 1-uniform word but does have a 2-uniform one
-    assert find_word(c5, 1) is None
-    w2 = find_word(c5, 2)
-    assert w2 is not None and len(w2) == 10 and word_represents(w2, c5)
-    assert find_word(c5, 3) == w2  # deepening stops at the first success
-    assert find_word(w5, 3) is None  # not representable at all
+    w = find_word(complete_graph(3))
+    assert sorted(w) == [0, 1, 2]  # a complete graph needs one copy
+    _assert_uniform_word(w, complete_graph(3))
+    _assert_uniform_word(find_word(empty_graph(2)), empty_graph(2))
+    _assert_uniform_word(find_word(c5), c5)
+    assert find_word(w5) is None  # not representable at all
     assert find_word(empty_graph(0)) == ()
-    with pytest.raises(InputError):
-        find_word(c5, 0)
 
 
 def test_found_words_are_uniform():
     rng = random.Random(5)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 5))
-        w = find_word(g, 2)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
+        w = find_word(g)
+        assert (w is None) == (not wr_decide(g)[0])
         if w is not None:
-            assert word_represents(w, g)
-            counts = {v: w.count(v) for v in range(g.n)}
-            assert len(set(counts.values())) == 1
+            _assert_uniform_word(w, g)
+
+
+def test_word_from_orientation_rejects_non_semi_transitive():
+    c4 = cycle_graph(4)
+    shortcut = Orientation.from_arcs(c4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(InputError):
+        word_from_orientation(shortcut)
+    k3 = complete_graph(3)
+    with pytest.raises(InputError):
+        word_from_orientation(Orientation.from_arcs(k3, [(0, 1), (1, 2), (2, 0)]))
 
 
 # ── orientation predicates ───────────────────────────────────────────────
