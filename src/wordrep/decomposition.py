@@ -36,7 +36,6 @@ from .graphs import (
 from .lexops import (
     LexProduct,
     lex_map,
-    lex_power,
     lex_product,
     lift_semi_transitive,
     orient_special,
@@ -155,15 +154,10 @@ def decompose_product_two(p: LexProduct) -> Decomposition:
 
 
 def _power_host(g: Graph, k: int) -> list[Graph]:
-    """Powers g^[1] .. g^[k]; each next level is checked to match both
-    association orders of the digit flattening."""
+    """Powers g^[1] .. g^[k], each built as g over the level below it."""
     levels = [g]
-    chain = lex_power(g, k)
-    for t in range(2, k + 1):
-        head = lex_product(g, levels[-1]).graph
-        levels.append(head)
-    if levels[-1] != chain.graph:
-        raise RuntimeError("power association views disagree")
+    for _ in range(k - 1):
+        levels.append(lex_product(g, levels[-1]).graph)
     return levels
 
 

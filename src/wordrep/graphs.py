@@ -9,8 +9,7 @@ directly.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -113,57 +112,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(len(kept), tuple(adj))
 
 
-def graph_union(
-    parts: Iterable[tuple[Graph, Sequence[int]]], n: int | None = None
-) -> Graph:
-    """Union of graphs embedded into a common host vertex range.
-
-    Each part is (graph, vmap) where vmap[i] is the host id of the part's
-    vertex i; every vmap must be injective. Overlapping edges are merged.
-    When n is omitted it is the smallest range covering all mapped ids.
-    """
-    items = [(g, list(vmap)) for g, vmap in parts]
-    for g, vmap in items:
-        if len(vmap) != g.n:
-            raise InputError("vertex map length must equal part size")
-        if len(set(vmap)) != len(vmap):
-            raise InputError("vertex map must be injective")
-    top = max((max(vmap, default=-1) for _, vmap in items), default=-1)
-    if n is None:
-        n = top + 1
-    elif top >= n:
-        raise InputError(f"mapped vertex {top} outside host range 0..{n - 1}")
-    if any(v < 0 for _, vmap in items for v in vmap):
-        raise InputError("mapped vertex ids must be non-negative")
-    adj = [0] * n
-    for g, vmap in items:
-        for u, v in g.edges():
-            a, b = vmap[u], vmap[v]
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return Graph(n, tuple(adj))
-
-
 def is_dominating_vertex(g: Graph, x: int) -> bool:
     """True iff x is adjacent to every other vertex of g."""
     if not 0 <= x < g.n:
         raise InputError(f"vertex {x} not in graph")
     full = (1 << g.n) - 1
     return g.adj[x] == full ^ (1 << x)
-
-
-def canonical_hash(g: Graph) -> str:
-    """Stable content digest of a labeled graph (not isomorphism-invariant).
-
-    Two graphs collide exactly when they have identical vertex count and
-    adjacency; safe to use as a memo key across runs.
-    """
-    h = hashlib.sha256()
-    h.update(str(g.n).encode())
-    for row in g.adj:
-        h.update(b",")
-        h.update(row.to_bytes((g.n + 7) // 8 or 1, "little"))
-    return h.hexdigest()
 
 
 # ── orientations ─────────────────────────────────────────────────────────
@@ -262,9 +216,6 @@ class LexStructure:
         if not 0 <= v < self.n:
             raise InputError(f"vertex {v} outside flat range")
         return divmod(v, self.inner_n)
-
-    def outer_of(self, v: int) -> int:
-        return self.split(v)[0]
 
     def supervertex(self, i: int) -> range:
         if not 0 <= i < self.outer_n:

@@ -63,13 +63,9 @@ class LexPowerChain:
     base: Graph
     k: int
     graph: Graph
-    steps: tuple[LexProduct, ...]
 
     def head_structure(self) -> LexStructure:
         return LexStructure(self.base.n, self.base.n ** (self.k - 1))
-
-    def tail_structure(self) -> LexStructure:
-        return LexStructure(self.base.n ** (self.k - 1), self.base.n)
 
 
 @dataclass(frozen=True)
@@ -122,12 +118,9 @@ def lex_power(g: Graph, k: int) -> LexPowerChain:
     if k < 1:
         raise InputError("power must be at least 1")
     current = g
-    steps = []
     for _ in range(k - 1):
-        p = lex_product(current, g)
-        steps.append(p)
-        current = p.graph
-    return LexPowerChain(g, k, current, tuple(steps))
+        current = lex_product(current, g).graph
+    return LexPowerChain(g, k, current)
 
 
 def lex_map(p: LexProduct, outer_edges: Iterable[tuple[int, int]]) -> LexMapGraph:

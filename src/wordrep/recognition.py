@@ -13,11 +13,13 @@ The engine rests on three facts:
   some vertex x sees all others then G is representable iff G - x is a
   comparability graph.
 
-Both deciders run the same scheme: backtrack over the edges in a fixed
-order, keep the partial orientation's reachability closed, propagate forced
-directions, prune dead partial states, and on failure shrink the vertex set
-to an inclusion-minimal induced subgraph that still fails. Results are
-memoized by graph value.
+Both deciders run one engine, `_backtrack`: an explicit-stack search over
+the edges in index order, so its depth is bounded by memory rather than by
+the interpreter's recursion limit. Each decider supplies only its partial
+state and a propagator, which places an arc plus every direction it forces
+and rejects dead partial states. On failure the vertex set is shrunk to an
+inclusion-minimal induced subgraph that still fails. Results are memoized
+by graph value.
 """
 
 from __future__ import annotations
@@ -175,16 +177,44 @@ def check_transitive(o: Orientation) -> bool:
     return True
 
 
-# ── semi-transitive orientation search ───────────────────────────────────
+# ── orientation search ───────────────────────────────────────────────────
+
+
+def _backtrack(g: Graph, state: tuple[list[int], list[int], list[int]], propagate) -> Optional[Orientation]:
+    """Orient g edge by edge in index order, backtracking on an explicit
+    stack whose entries hold an edge, the state before deciding it and the
+    directions still to try.
+
+    `state` is (arc out-sets, a second per-vertex list, edge directions with
+    0 open, 1 = as stored, 2 = reversed); `propagate(i, d)` sets edge i to
+    direction d plus everything that forces, and returns False on a dead
+    state.
+    """
+    out, aux, dirs = state
+    m = len(dirs)
+    stack = []
+    # reversing every arc preserves both properties, so the very first
+    # decision can fix one direction
+    i, todo = 0, [1]
+    while True:
+        i = next((j for j in range(i, m) if not dirs[j]), m)  # edges before i are decided
+        if i == m:
+            return Orientation(g, tuple(out))
+        stack.append((i, (out[:], aux[:], dirs[:]), todo))
+        while not propagate(i, todo.pop()):
+            while not stack[-1][2]:
+                stack.pop()
+                if not stack:
+                    return None
+            i, snap, todo = stack[-1]
+            out[:], aux[:], dirs[:] = snap
+        todo = [2, 1]
 
 
 def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
     n, adj = g.n, g.adj
     edges = g.edges()
     m = len(edges)
-    if m == 0:
-        return Orientation(g, (0,) * n)
-
     out = [0] * n
     reach = [0] * n  # strict reachability over placed arcs
     dirs = [0] * m  # 0 open, 1 = as stored, 2 = reversed
@@ -238,38 +268,16 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
             if not queue:
                 return True
 
-    def dfs(first: bool) -> bool:
-        i = next((j for j in range(m) if not dirs[j]), -1)
-        if i < 0:
-            return True
-        # reversing every arc preserves the property, so the very first
-        # decision can fix one direction
-        for d in (1,) if first else (1, 2):
-            snap = (out[:], reach[:], dirs[:])
-            if propagate(i, d) and dfs(False):
-                return True
-            out[:], reach[:], dirs[:] = snap
-        return False
-
-    if dfs(True):
-        return Orientation(g, tuple(out))
-    return None
-
-
-# ── transitive orientation search ────────────────────────────────────────
+    return _backtrack(g, (out, reach, dirs), propagate)
 
 
 def _find_transitive(g: Graph) -> Optional[Orientation]:
     n, adj = g.n, g.adj
     edges = g.edges()
-    m = len(edges)
-    if m == 0:
-        return Orientation(g, (0,) * n)
     eix = {e: i for i, e in enumerate(edges)}
-
     out = [0] * n
     inn = [0] * n
-    dirs = [0] * m
+    dirs = [0] * len(edges)
 
     def want(a: int, b: int) -> tuple[int, int]:
         return (eix[(a, b)], 1) if a < b else (eix[(b, a)], 2)
@@ -303,20 +311,7 @@ def _find_transitive(g: Graph) -> Optional[Orientation]:
                 queue.append(want(c, b))
         return True
 
-    def dfs(first: bool) -> bool:
-        i = next((j for j in range(m) if not dirs[j]), -1)
-        if i < 0:
-            return True
-        for d in (1,) if first else (1, 2):
-            snap = (out[:], inn[:], dirs[:])
-            if propagate(i, d) and dfs(False):
-                return True
-            out[:], inn[:], dirs[:] = snap
-        return False
-
-    if dfs(True):
-        return Orientation(g, tuple(out))
-    return None
+    return _backtrack(g, (out, inn, dirs), propagate)
 
 
 # ── deciders with certificates ───────────────────────────────────────────
@@ -352,6 +347,21 @@ def _comp_ok(g: Graph) -> bool:
     return comparability_decide(g)[0]
 
 
+def _decide(g: Graph, memo: dict, find, check, yes: str, no: str, ok) -> tuple[bool, Certificate]:
+    """Search g with `find` and memoize the certified result: the found
+    orientation, which must pass `check`, or else a witness shrunk under
+    `ok`."""
+    o = find(g)
+    if o is None:
+        res = (False, Certificate(no, _shrink_witness(g, ok)))
+    elif check(o):
+        res = (True, Certificate(yes, o))
+    else:  # pragma: no cover - internal guard
+        raise RuntimeError("search produced an orientation failing its own check")
+    memo[g] = res
+    return res
+
+
 def wr_decide(g: Graph) -> tuple[bool, Certificate]:
     """Decide word-representability.
 
@@ -360,18 +370,9 @@ def wr_decide(g: Graph) -> tuple[bool, Certificate]:
     exponential in the edge count; fine for the graph sizes the rest of the
     package feeds it (factors, supervertex samples, witnesses).
     """
-    hit = _WR_MEMO.get(g)
-    if hit is not None:
-        return hit
-    o = _find_semi_transitive(g)
-    if o is not None:
-        if not check_semi_transitive(o):  # pragma: no cover - internal guard
-            raise RuntimeError("search produced an orientation failing its own check")
-        res = (True, Certificate(SEMI_TRANSITIVE, o))
-    else:
-        res = (False, Certificate(WITNESS, _shrink_witness(g, _wr_ok)))
-    _WR_MEMO[g] = res
-    return res
+    return _WR_MEMO.get(g) or _decide(
+        g, _WR_MEMO, _find_semi_transitive, check_semi_transitive, SEMI_TRANSITIVE, WITNESS, _wr_ok
+    )
 
 
 def comparability_decide(g: Graph) -> tuple[bool, Certificate]:
@@ -379,18 +380,9 @@ def comparability_decide(g: Graph) -> tuple[bool, Certificate]:
 
     Returns (True, transitive orientation) or (False, inclusion-minimal
     vertex set inducing a non-comparability subgraph)."""
-    hit = _COMP_MEMO.get(g)
-    if hit is not None:
-        return hit
-    o = _find_transitive(g)
-    if o is not None:
-        if not check_transitive(o):  # pragma: no cover - internal guard
-            raise RuntimeError("search produced an orientation failing its own check")
-        res = (True, Certificate(TRANSITIVE, o))
-    else:
-        res = (False, Certificate(NON_COMPARABILITY, _shrink_witness(g, _comp_ok)))
-    _COMP_MEMO[g] = res
-    return res
+    return _COMP_MEMO.get(g) or _decide(
+        g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE, NON_COMPARABILITY, _comp_ok
+    )
 
 
 def wr_with_dominating_vertex(g: Graph, x: int) -> tuple[bool, Certificate]:

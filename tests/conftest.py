@@ -44,6 +44,13 @@ def h8() -> Graph:
     return extremal8()
 
 
+@pytest.fixture
+def matching() -> Graph:
+    """1100 disjoint edges: the orientation search makes 1100 nested
+    decisions, deeper than the interpreter's default recursion limit."""
+    return Graph.from_edges(2200, [(2 * i, 2 * i + 1) for i in range(1100)])
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -93,6 +93,13 @@ def test_check_comparability_path():
     assert reverify(out) == 0
 
 
+def test_check_comparability_deep_search(matching):
+    code, out, _ = run(["check", "--comparability", encode_graph6(matching)])
+    assert code == 0
+    assert doc(out)["result"]["comparability"] is True
+    assert reverify(out) == 0
+
+
 def test_check_comparability_cycle_false():
     code, out, _ = run(["check", "--comparability", C5])
     assert code == 0

@@ -52,8 +52,8 @@ def test_product_two_split_is_cross_versus_interior():
     d = decompose_product_two(p)
     red, green = d.parts
     st = p.structure
-    assert all(st.outer_of(u) != st.outer_of(v) for u, v in red.edges)
-    assert all(st.outer_of(u) == st.outer_of(v) for u, v in green.edges)
+    assert all(st.split(u)[0] != st.split(v)[0] for u, v in red.edges)
+    assert all(st.split(u)[0] == st.split(v)[0] for u, v in green.edges)
     assert not red.edges & green.edges
 
 
@@ -91,9 +91,9 @@ def test_power_cover_peels_top_cross_layer():
     d = decompose_power_k(cycle_graph(5), 3)
     head = LexStructure(5, 25)
     top, *rest = d.parts
-    assert all(head.outer_of(u) != head.outer_of(v) for u, v in top.edges)
+    assert all(head.split(u)[0] != head.split(v)[0] for u, v in top.edges)
     for part in rest:
-        assert all(head.outer_of(u) == head.outer_of(v) for u, v in part.edges)
+        assert all(head.split(u)[0] == head.split(v)[0] for u, v in part.edges)
 
 
 def test_power_cover_rejects_bad_bases():

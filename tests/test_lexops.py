@@ -6,6 +6,7 @@ import pytest
 from wordrep.errors import InputError
 from wordrep.graphs import (
     Graph,
+    LexStructure,
     Orientation,
     complete_graph,
     cycle_graph,
@@ -111,7 +112,7 @@ def test_power_zero_rejected():
 def test_power_supervertices_induce_both_views():
     ch = lex_power(cycle_graph(5), 2)
     assert ch.graph.n == 25
-    head, tail = ch.head_structure(), ch.tail_structure()
+    head, tail = ch.head_structure(), LexStructure(25, 5)
     for i in range(5):
         assert induced_subgraph(ch.graph, head.supervertex(i)) == cycle_graph(5)
     for i in range(5):

@@ -222,11 +222,12 @@ def test_reversal_preserves_both():
 # ── deciders ─────────────────────────────────────────────────────────────
 
 
-def test_wr_decide_known_graphs(c5, w5, h8):
-    ok, cert = wr_decide(c5)
-    assert ok and cert.kind == SEMI_TRANSITIVE
-    assert cert.payload.host == c5
-    assert check_semi_transitive(cert.payload)
+def test_wr_decide_known_graphs(c5, w5, h8, matching):
+    for g in (c5, matching):
+        ok, cert = wr_decide(g)
+        assert ok and cert.kind == SEMI_TRANSITIVE
+        assert cert.payload.host == g
+        assert check_semi_transitive(cert.payload)
 
     ok, cert = wr_decide(w5)
     assert not ok and cert.kind == WITNESS
@@ -255,15 +256,16 @@ def test_wr_decide_matches_brute_force():
             assert wr_decide(g)[0] == wr_by_all_orientations(g)
 
 
-def test_comparability_decide_known_graphs(c5, p4):
+def test_comparability_decide_known_graphs(c5, p4, matching):
     assert comparability_decide(p4)[0]
     assert comparability_decide(cycle_graph(4))[0]
     assert comparability_decide(cycle_graph(6))[0]
     ok, cert = comparability_decide(c5)
     assert not ok and cert.kind == NON_COMPARABILITY
     assert cert.payload == (0, 1, 2, 3, 4)
-    ok, cert = comparability_decide(complete_graph(4))
-    assert ok and cert.kind == TRANSITIVE and check_transitive(cert.payload)
+    for g in (complete_graph(4), matching):
+        ok, cert = comparability_decide(g)
+        assert ok and cert.kind == TRANSITIVE and check_transitive(cert.payload)
 
 
 def test_comparability_matches_brute_force():
