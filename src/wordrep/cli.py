@@ -25,7 +25,8 @@ words in polynomial time, witness sets by deciding only the (small) induced
 subgraph they name. It never re-derives the host-level answer.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 the search
-budget ran out before the answer was known.
+budget ran out before the answer was known, 4 internal error (a broken
+invariant or an exhausted interpreter limit, never a verdict on the input).
 """
 
 from __future__ import annotations
@@ -582,9 +583,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 3
-    except RuntimeError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 1
+    except RuntimeError as e:  # InternalError, RecursionError
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,12 +6,20 @@ certified lower bound on how many parts any cover needs. Nothing returned
 rests on the construction being trusted — `decomposition_diagnostics`
 re-verifies all of it from the certificates alone.
 
-Edge classes follow the two obvious layers of a composition: cross edges
-between supervertices, and interior edges within them. Cross layers are
-covered by lexicographic maps of the outer factor's parts (their lifted
-orientations stay semi-transitive); interior layers by replicating an inner
-part into every supervertex, where vertex-disjointness keeps the union's
-orientation semi-transitive.
+Every product cover is one of two steps over the composition's two edge
+layers, cross edges between supervertices and interior edges within them:
+
+* `_cross_and_copies` turns each oriented outer part into a lexicographic
+  map with the lifted orientation (still semi-transitive), and copies each
+  oriented inner part into every supervertex, where vertex-disjointness
+  keeps the union's orientation semi-transitive. This gives k1 + k2 parts.
+* `_refilled` turns outer part i into its map refilled with comparability
+  class i of the inner factor inside every supervertex, oriented by
+  `orient_special`. This gives k1 parts.
+
+Powers are folds of these steps: g^[k] = g over g^[k-1], so each level
+applies the step once with g's cover outside and the previous level's cover
+inside.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from .certificates import (
     Decomposition,
     Part,
 )
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graphs import (
     Graph,
+    LexStructure,
     Orientation,
     edge_set,
     embed_arcs,
@@ -40,9 +49,9 @@ from .lexops import (
     lift_semi_transitive,
     orient_special,
     special_subgraph,
+    supervertex_witness,
 )
 from .recognition import (
-    check_semi_transitive,
     check_transitive,
     comparability_decide,
     is_minimal_non_wr,
@@ -66,6 +75,10 @@ __all__ = [
     "decomposition_verify",
 ]
 
+# An oriented part: its edge set and an orientation of the spanning
+# subgraph on those edges.
+_Oriented = tuple[frozenset[tuple[int, int]], Orientation]
+
 
 def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
     """Wrap an exact-search cover result as a Decomposition of g. An exact
@@ -86,42 +99,82 @@ def _wr_orientation(g: Graph) -> Orientation:
     return cert.payload
 
 
-def _part_orientation(part: Part, host_n: int) -> Orientation:
-    """A semi-transitive orientation of a cover part's spanning subgraph,
-    reusing the part's own certificate when it already is one."""
+def _oriented(part: Part, host_n: int) -> _Oriented:
+    """A cover part with a semi-transitive orientation of its spanning
+    subgraph, reusing the part's own certificate when it already is one."""
     sub = Graph.from_edges(host_n, part.edges)
     cert = part.certificate
     if cert.kind in (SEMI_TRANSITIVE, TRANSITIVE) and cert.payload.host == sub:
-        return cert.payload
-    return _wr_orientation(sub)
+        return part.edges, cert.payload
+    return part.edges, _wr_orientation(sub)
 
 
-def _replicate(
-    edges: frozenset[tuple[int, int]],
-    o: Orientation,
-    copies: int,
-    size: int,
-    host_n: int,
-) -> tuple[frozenset[tuple[int, int]], Orientation]:
-    """One copy of an oriented subgraph per supervertex block. Copies are
+def _whole(g: Graph) -> _Oriented:
+    """The one-part cover of a representable graph."""
+    return edge_set(g.edges()), _wr_orientation(g)
+
+
+def _parts(oriented: list[_Oriented], kind: str = SEMI_TRANSITIVE) -> tuple[Part, ...]:
+    return tuple(Part(es, Certificate(kind, o)) for es, o in oriented)
+
+
+def _replicate(p: LexProduct, edges: frozenset[tuple[int, int]], o: Orientation) -> _Oriented:
+    """One copy of an oriented inner subgraph per supervertex. Copies are
     vertex-disjoint, so the combined orientation has no cross arcs and
     inherits semi-transitivity (and transitivity) from the single copy."""
+    copies, size = p.outer.n, p.inner.n
     new_edges = frozenset(
         (a + i * size, b + i * size) for i in range(copies) for a, b in edges
     )
     arcs = [
         (u + i * size, v + i * size) for i in range(copies) for u, v in o.arcs()
     ]
-    sub = Graph.from_edges(host_n, new_edges)
+    sub = Graph.from_edges(p.graph.n, new_edges)
     return new_edges, Orientation.from_arcs(sub, arcs)
 
 
-def _interior_edges(st, inner: Graph) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (st.flat(i, a), st.flat(i, b))
-        for i in range(st.outer_n)
-        for a, b in inner.edges()
-    )
+def _cross_and_copies(
+    p: LexProduct, outer_parts: list[_Oriented], inner_parts: list[_Oriented]
+) -> list[_Oriented]:
+    """Cover p with one lifted map per outer part, then one set of
+    supervertex copies per inner part."""
+    parts = []
+    for edges, o in outer_parts:
+        m = lex_map(p, edges)
+        parts.append((edge_set(m.graph.edges()), lift_semi_transitive(m, o)))
+    return parts + [_replicate(p, edges, o) for edges, o in inner_parts]
+
+
+def _refilled(
+    p: LexProduct, outer_parts: list[_Oriented], fills: list[_Oriented]
+) -> list[_Oriented]:
+    """Cover p with outer part i's map refilled by transitively oriented
+    fill i inside every supervertex."""
+    n = p.outer.n
+    parts = []
+    for (edges, o), (fill_edges, fill_o) in zip(outer_parts, fills):
+        s = special_subgraph(lex_map(p, edges), [fill_edges] * n)
+        parts.append((edge_set(s.graph.edges()), orient_special(s, o, [fill_o] * n)))
+    return parts
+
+
+def _comparability_split(
+    g: Graph, classes: Iterable[Iterable[tuple[int, int]]], names: Iterable, what: str
+) -> list[_Oriented]:
+    """Check that the named edge classes are comparability subgraphs of g
+    whose union is g's edges, and orient each transitively."""
+    split = []
+    for name, raw in zip(names, classes):
+        es = edge_set(raw)
+        if not es <= edge_set(g.edges()):
+            raise InputError(f"split class {name} uses non-edges of the {what}")
+        ok, cert = comparability_decide(Graph.from_edges(g.n, es))
+        if not ok:
+            raise InputError(f"split class {name} is not a comparability subgraph")
+        split.append((es, cert.payload))
+    if frozenset().union(*(es for es, _ in split)) != edge_set(g.edges()):
+        raise InputError(f"split classes must union to the {what}'s edges")
+    return split
 
 
 # ── the two-part cover of a product of representable factors ─────────────
@@ -136,72 +189,42 @@ def decompose_product_two(p: LexProduct) -> Decomposition:
         raise InputError("outer factor needs at least one edge")
     if not wr_decide(g1)[0] or not wr_decide(g2)[0]:
         raise InputError("both factors must be word-representable")
-    m = lex_map(p, g1.edges())
-    red = lift_semi_transitive(m, _wr_orientation(g1))
-    red_part = Part(edge_set(m.graph.edges()), Certificate(SEMI_TRANSITIVE, red))
-    green_edges, green = _replicate(
-        edge_set(g2.edges()), _wr_orientation(g2), g1.n, g2.n, p.graph.n
-    )
-    green_part = Part(green_edges, Certificate(SEMI_TRANSITIVE, green))
+    parts = _cross_and_copies(p, [_whole(g1)], [_whole(g2)])
     bound, witness = 1, None
     if not comparability_decide(g2)[0]:
-        i, j = min(g1.edges())
-        bound, witness = 2, tuple(p.structure.supervertex(i)) + (p.structure.flat(j, 0),)
-    return Decomposition(p.graph, (red_part, green_part), "product-two", bound, witness)
+        bound, witness = 2, supervertex_witness(p.structure, g1)
+    return Decomposition(p.graph, _parts(parts), "product-two", bound, witness)
 
 
 # ── covers of composition powers ──────────────────────────────────────────
 
 
-def _power_host(g: Graph, k: int) -> list[Graph]:
-    """Powers g^[1] .. g^[k], each built as g over the level below it."""
-    levels = [g]
-    for _ in range(k - 1):
-        levels.append(lex_product(g, levels[-1]).graph)
-    return levels
-
-
-def _power_witness(levels: list[Graph], n: int) -> tuple[int, ...]:
-    """A non-representable induced set in the top power: one innermost
-    block (a copy of the base) plus one vertex joined to all of it."""
-    prev = levels[-2]
-    i, j = min(prev.edges())
-    return tuple(range(i * n, i * n + n)) + (j * n,)
-
-
-def decompose_power_k(g: Graph, k: int) -> Decomposition:
-    """Cover g^[k] with k representable parts, peeling one cross layer per
-    level: the top cross layer is a lifted map of g, and the interiors
-    recursively carry the cover of g^[k-1] copied into every supervertex."""
-    if k < 2:
-        raise InputError("power covers start at k = 2")
-    if not wr_decide(g)[0]:
-        raise InputError("base graph must be word-representable")
+def _refuse_comparability_base(g: Graph) -> None:
     if comparability_decide(g)[0]:
         raise InputError(
             "base graph is a comparability graph; its powers are "
             "representable outright and need a single part"
         )
-    o_g = _wr_orientation(g)
-    levels = _power_host(g, k)
-    parts: list[tuple[frozenset, Orientation]] = [(edge_set(g.edges()), o_g)]
-    for t in range(2, k + 1):
-        inner = levels[t - 2]
-        p = lex_product(g, inner)
-        m = lex_map(p, g.edges())
-        red = lift_semi_transitive(m, o_g)
-        new_parts = [(edge_set(m.graph.edges()), red)]
-        for edges, o in parts:
-            new_parts.append(_replicate(edges, o, g.n, inner.n, p.graph.n))
-        parts = new_parts
-    host = levels[-1]
-    return Decomposition(
-        host,
-        tuple(Part(es, Certificate(SEMI_TRANSITIVE, o)) for es, o in parts),
-        "power",
-        2,
-        _power_witness(levels, g.n),
-    )
+
+
+def decompose_power_k(g: Graph, k: int) -> Decomposition:
+    """Cover g^[k] with k representable parts, one product step per level:
+    g^[t] = g over g^[t-1] is covered by the lifted map of g plus the
+    cover of g^[t-1] copied into every supervertex."""
+    if k < 2:
+        raise InputError("power covers start at k = 2")
+    if not wr_decide(g)[0]:
+        raise InputError("base graph must be word-representable")
+    _refuse_comparability_base(g)
+    base = [_whole(g)]
+    parts, level = base, g
+    for _ in range(k - 1):
+        p = lex_product(g, level)
+        parts, level = _cross_and_copies(p, base, parts), p.graph
+    # the top level read as g^[k-1] over g: an innermost copy of g plus a
+    # vertex joined to all of it
+    witness = supervertex_witness(LexStructure(p.inner.n, g.n), p.inner)
+    return Decomposition(level, _parts(parts), "power", 2, witness)
 
 
 def decompose_power_two_comparability(
@@ -212,51 +235,23 @@ def decompose_power_two_comparability(
     """Cover g^[k] with two transitively-oriented parts, given a split of
     g's edges into two comparability subgraphs.
 
-    Each level pairs the map of one split class with copies of the previous
-    level's matching part inside every supervertex; that composite is again
+    Each level is the tight product step with the split outside and the
+    previous level's two parts as fills: the map of one split class refilled
+    with the matching part inside every supervertex. That composite is again
     a comparability graph, so two parts suffice at every power.
     """
     if k < 2:
         raise InputError("power covers start at k = 2")
-    if comparability_decide(g)[0]:
-        raise InputError(
-            "base graph is a comparability graph; its powers are "
-            "representable outright and need a single part"
-        )
-    halves = []
-    for name, raw in zip("AB", split):
-        es = edge_set(raw)
-        if not es <= edge_set(g.edges()):
-            raise InputError(f"split class {name} uses non-edges of the base graph")
-        ok, cert = comparability_decide(Graph.from_edges(g.n, es))
-        if not ok:
-            raise InputError(f"split class {name} is not a comparability subgraph")
-        halves.append((es, cert.payload))
-    if halves[0][0] | halves[1][0] != edge_set(g.edges()):
-        raise InputError("split classes must union to the base graph's edges")
-
-    levels = _power_host(g, k)
-    current = halves
-    for t in range(2, k + 1):
-        inner = levels[t - 2]
-        p = lex_product(g, inner)
-        nxt = []
-        for (base_edges, base_o), (fill_edges, fill_o) in zip(halves, current):
-            m = lex_map(p, base_edges)
-            s = special_subgraph(m, [fill_edges] * g.n)
-            comb = orient_special(s, base_o, [fill_o] * g.n)
-            if not check_transitive(comb):
-                raise RuntimeError("combined orientation lost transitivity")
-            nxt.append((edge_set(s.graph.edges()), comb))
-        current = nxt
-    host = levels[-1]
-    return Decomposition(
-        host,
-        tuple(Part(es, Certificate(TRANSITIVE, o)) for es, o in current),
-        "power-comparability",
-        2,
-        _power_witness(levels, g.n),
-    )
+    _refuse_comparability_base(g)
+    halves = _comparability_split(g, split, "AB", "base graph")
+    parts, level = halves, g
+    for _ in range(k - 1):
+        p = lex_product(g, level)
+        parts, level = _refilled(p, halves, parts), p.graph
+        if not all(check_transitive(o) for _, o in parts):
+            raise InternalError("combined orientation lost transitivity")
+    witness = supervertex_witness(LexStructure(p.inner.n, g.n), p.inner)
+    return Decomposition(level, _parts(parts, TRANSITIVE), "power-comparability", 2, witness)
 
 
 # ── covers of general products from factor covers ─────────────────────────
@@ -273,25 +268,19 @@ def decompose_product_general(
         raise InputError("factor covers must live on the product's factors")
     if verify_decomposition(g1, d1) or verify_decomposition(g2, d2):
         raise InputError("factor cover does not verify")
-    parts = []
-    for part in d1.parts:
-        m = lex_map(p, part.edges)
-        red = lift_semi_transitive(m, _part_orientation(part, g1.n))
-        parts.append(Part(edge_set(m.graph.edges()), Certificate(SEMI_TRANSITIVE, red)))
-    for part in d2.parts:
-        es, o = _replicate(
-            part.edges, _part_orientation(part, g2.n), g1.n, g2.n, p.graph.n
-        )
-        parts.append(Part(es, Certificate(SEMI_TRANSITIVE, o)))
+    parts = _cross_and_copies(
+        p,
+        [_oriented(part, g1.n) for part in d1.parts],
+        [_oriented(part, g2.n) for part in d2.parts],
+    )
     bound, witness = 1, None
     if not wr_decide(g2)[0]:
         bound, witness = 2, tuple(p.structure.supervertex(0))
     elif g1.edge_count() and not comparability_decide(g2)[0]:
-        i, j = min(g1.edges())
-        bound, witness = 2, tuple(p.structure.supervertex(i)) + (p.structure.flat(j, 0),)
+        bound, witness = 2, supervertex_witness(p.structure, g1)
     elif not wr_decide(g1)[0]:
         bound, witness = 2, tuple(p.structure.flat(i, 0) for i in range(g1.n))
-    return Decomposition(p.graph, tuple(parts), "product-general", bound, witness)
+    return Decomposition(p.graph, _parts(parts), "product-general", bound, witness)
 
 
 def decompose_product_tight(
@@ -315,28 +304,10 @@ def decompose_product_tight(
     k1 = len(d1.parts)
     if len(comp_split) > k1:
         raise InputError("more inner split classes than outer parts")
-    fills = []
-    covered: frozenset = frozenset()
-    for idx, raw in enumerate(comp_split):
-        es = edge_set(raw)
-        if not es <= edge_set(g2.edges()):
-            raise InputError(f"split class {idx} uses non-edges of the inner factor")
-        ok, cert = comparability_decide(Graph.from_edges(g2.n, es))
-        if not ok:
-            raise InputError(f"split class {idx} is not a comparability subgraph")
-        fills.append((es, cert.payload))
-        covered |= es
-    if covered != edge_set(g2.edges()):
-        raise InputError("split classes must union to the inner factor's edges")
-    while len(fills) < k1:
-        fills.append((frozenset(), Orientation(Graph.from_edges(g2.n, []), (0,) * g2.n)))
-
-    parts = []
-    for part, (fill_edges, fill_o) in zip(d1.parts, fills):
-        m = lex_map(p, part.edges)
-        s = special_subgraph(m, [fill_edges] * g1.n)
-        comb = orient_special(s, _part_orientation(part, g1.n), [fill_o] * g1.n)
-        parts.append(Part(edge_set(s.graph.edges()), Certificate(SEMI_TRANSITIVE, comb)))
+    fills = _comparability_split(g2, comp_split, range(k1), "inner factor")
+    empty = (frozenset(), Orientation(Graph.from_edges(g2.n, []), (0,) * g2.n))
+    fills += [empty] * (k1 - len(fills))
+    parts = _refilled(p, [_oriented(part, g1.n) for part in d1.parts], fills)
 
     bound, witness = 1, None
     if k1 >= 2:
@@ -350,7 +321,7 @@ def decompose_product_tight(
                 bound, witness = min(k1, r.value), copy
             elif not wr_decide(g1)[0]:
                 bound, witness = 2, copy
-    return Decomposition(p.graph, tuple(parts), "product-tight", bound, witness)
+    return Decomposition(p.graph, _parts(parts), "product-tight", bound, witness)
 
 
 # ── the three-part cover for minimal non-representable factors ────────────
@@ -459,7 +430,7 @@ def decompose_min_nonwr_product(
     total = sum(len(pt.edges) for pt in all_parts)
     union = part1.edges | part2.edges | part3.edges
     if total != len(union) or union != edge_set(host.edges()):
-        raise RuntimeError("the three parts must partition the host's edges")
+        raise InternalError("the three parts must partition the host's edges")
     return Decomposition(
         host, all_parts, "min-product", 2, tuple(st.supervertex(0))
     )

@@ -11,3 +11,8 @@ class InputError(ValueError):
 class BudgetExceeded(RuntimeError):
     """A bounded search ran out of its node budget before reaching a
     conclusion. CLI maps this to exit 3."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant broke: a construction or search produced a
+    result its own checks reject. CLI maps this to exit 4."""

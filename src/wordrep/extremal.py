@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .certificates import Certificate
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graphs import Graph, induced_subgraph
 from .lexops import lex_power
 from .recognition import wr_decide
@@ -177,21 +177,21 @@ def verify_power_bound(
     prev = lex_power(g, k - 1).graph
     for i in range(g.n):
         if induced_subgraph(chain.graph, head.supervertex(i)) != prev:
-            raise RuntimeError(f"supervertex {i} does not induce the previous power")
+            raise InternalError(f"supervertex {i} does not induce the previous power")
     rng = random.Random(seed)
     selections = 0
     for outer_pick in combinations(range(g.n), cap + 1):
         base = induced_subgraph(g, outer_pick)
         if wr_decide(base)[0]:
-            raise RuntimeError("premise check missed a representable subset")
+            raise InternalError("premise check missed a representable subset")
         for _ in range(samples):
             picks = [head.flat(i, rng.randrange(head.inner_n)) for i in outer_pick]
             sub = induced_subgraph(chain.graph, picks)
             if sub != base:
-                raise RuntimeError(
+                raise InternalError(
                     "a one-per-supervertex selection does not project onto the base"
                 )
             if wr_decide(sub)[0]:
-                raise RuntimeError("a sampled selection induced a representable graph")
+                raise InternalError("a sampled selection induced a representable graph")
             selections += 1
     return PowerBoundReport(k, cap, cap**k, None, g.n, selections)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graphs import (
     Graph,
     LexStructure,
@@ -261,9 +261,20 @@ class ProductReport:
     verified_directly: bool
 
 
-def product_wr_characterize(
-    g1: Graph, g2: Graph, direct_limit: int = 12
-) -> ProductReport:
+# Composites with at most this many vertices are re-decided directly.
+_DIRECT_LIMIT = 12
+
+
+def supervertex_witness(st: LexStructure, outer: Graph) -> tuple[int, ...]:
+    """The supervertex of the first outer edge's lower end plus the first
+    vertex of its other end's supervertex. That vertex dominates the copy
+    of the inner graph, so the set induces a non-representable graph
+    whenever the inner graph is not a comparability graph."""
+    i, j = min(outer.edges())
+    return tuple(st.supervertex(i)) + (st.flat(j, 0),)
+
+
+def product_wr_characterize(g1: Graph, g2: Graph) -> ProductReport:
     if g1.edge_count() == 0:
         raise InputError("outer factor needs at least one edge")
     if not wr_decide(g1)[0] or not wr_decide(g2)[0]:
@@ -277,15 +288,14 @@ def product_wr_characterize(
     p = lex_product(g1, g2)
     witness = None
     if not h_wr:
-        i, j = min(g1.edges())
-        witness = tuple(p.structure.supervertex(i)) + (p.structure.flat(j, 0),)
+        witness = supervertex_witness(p.structure, g1)
         if wr_decide(induced_subgraph(p.graph, witness))[0]:
-            raise RuntimeError("supervertex-plus-neighbor witness unexpectedly represents")
+            raise InternalError("supervertex-plus-neighbor witness unexpectedly represents")
 
-    direct = p.graph.n <= direct_limit
+    direct = p.graph.n <= _DIRECT_LIMIT
     if direct:
         if wr_decide(p.graph)[0] != h_wr:
-            raise RuntimeError("direct representability check contradicts the characterization")
+            raise InternalError("direct representability check contradicts the characterization")
         if comparability_decide(p.graph)[0] != h_comp:
-            raise RuntimeError("direct comparability check contradicts the characterization")
+            raise InternalError("direct comparability check contradicts the characterization")
     return ProductReport(h_wr, h_comp, mu_h, witness, direct)

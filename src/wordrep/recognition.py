@@ -37,7 +37,7 @@ from .certificates import (
     MuResult,
     Part,
 )
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, InputError, InternalError
 from .graphs import Graph, Orientation, bits, induced_subgraph, is_dominating_vertex
 
 Word = Sequence[int]
@@ -357,7 +357,7 @@ def _decide(g: Graph, memo: dict, find, check, yes: str, no: str, ok) -> tuple[b
     elif check(o):
         res = (True, Certificate(yes, o))
     else:  # pragma: no cover - internal guard
-        raise RuntimeError("search produced an orientation failing its own check")
+        raise InternalError("search produced an orientation failing its own check")
     memo[g] = res
     return res
 

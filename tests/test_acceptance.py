@@ -8,6 +8,7 @@ import random
 import time
 from itertools import combinations
 
+from conftest import random_graph
 from oracles import graph_by_restriction, semi_transitive_by_paths
 from wordrep.certificates import TRANSITIVE
 from wordrep.decomposition import (
@@ -55,11 +56,6 @@ def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> N
     print(f"ACCEPTANCE {num}: {status} - {detail} ({elapsed:.2f}s, budget {budget:.0f}s)")
     assert ok, detail
     assert elapsed < budget, f"criterion {num} took {elapsed:.2f}s"
-
-
-def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 def test_criterion_01_extremal_eight_vertices():
@@ -201,7 +197,7 @@ def test_criterion_08_orientation_oracle_agreement():
     rng = random.Random(8)
     for n in (6, 7):
         for _ in range(10_000):
-            g = _random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
             arcs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
             ok = ok and agree(g, arcs)
             checked += 1
@@ -234,7 +230,7 @@ def test_criterion_10_property_suites():
     # representability is hereditary
     rng = random.Random(10)
     for _ in range(1000):
-        g = _random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
         keep = tuple(v for v in range(g.n) if rng.random() < 0.6)
         if wr_decide(g)[0]:
             ok = ok and wr_decide(induced_subgraph(g, keep))[0]
@@ -243,7 +239,7 @@ def test_criterion_10_property_suites():
     rng = random.Random(11)
     non_comp_seen = 0
     for i in range(500):
-        g = cycle_graph(5) if i == 0 else _random_graph(
+        g = cycle_graph(5) if i == 0 else random_graph(
             rng, rng.randint(1, 6), rng.choice((0.3, 0.5, 0.7)))
         apex = Graph.from_edges(g.n + 1, g.edges() + [(v, g.n) for v in range(g.n)])
         lhs = wr_decide(apex)[0]
@@ -274,10 +270,10 @@ def test_criterion_10_property_suites():
     for i in range(200):
         if i < 2:
             g1, sel = cycle_graph(5 + 2 * i), cycle_graph(5 + 2 * i).edges()
-            g2 = _random_graph(rng, 2, 0.5)
+            g2 = random_graph(rng, 2, 0.5)
         else:
-            g1 = _random_graph(rng, rng.randint(3, 5), 0.6)
-            g2 = _random_graph(rng, rng.randint(1, 3), 0.6)
+            g1 = random_graph(rng, rng.randint(3, 5), 0.6)
+            g2 = random_graph(rng, rng.randint(1, 3), 0.6)
             sel = [e for e in g1.edges() if rng.random() < 0.7]
         m = lex_map(lex_product(g1, g2), sel)
         sel_comp = comparability_decide(Graph.from_edges(g1.n, sel))[0]

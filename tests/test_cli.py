@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from wordrep import recognition
 from wordrep.cli import main
 from wordrep.formats import encode_graph6, parse_graph
-from wordrep.graphs import extremal8
+from wordrep.graphs import Orientation, extremal8, path_graph
 from wordrep.recognition import word_represents
 
 H8 = "G|fJH{"
@@ -348,6 +349,18 @@ def test_input_errors_exit_two():
     assert run(["mu", C5, W5])[0] == 2
     assert run(["mu", C5, "--constructive", "power-comparability", "--k", "2"])[0] == 2
     assert run(["frobnicate"])[0] == 2
+
+
+def test_internal_fault_exits_four(monkeypatch):
+    # a search returning an orientation its own checker rejects is an
+    # internal fault, not a failed verification of the input
+    p4 = path_graph(4)
+    broken = Orientation.from_arcs(p4, [(0, 1), (1, 2), (2, 3)])
+    monkeypatch.setattr(recognition, "_COMP_MEMO", {})
+    monkeypatch.setattr(recognition, "_find_transitive", lambda g: broken)
+    code, out, err = run(["check", "--comparability", encode_graph6(p4)])
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:")
 
 
 def test_file_and_stdin_input(tmp_path):

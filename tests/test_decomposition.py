@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from wordrep import decomposition
 from wordrep.certificates import WORD, Certificate
 from wordrep.decomposition import (
     Decomposition,
@@ -19,15 +20,17 @@ from wordrep.decomposition import (
 )
 from wordrep.errors import InputError
 from wordrep.graphs import (
+    Graph,
     LexStructure,
     complete_graph,
     cycle_graph,
+    edge_set,
     empty_graph,
     path_graph,
     wheel_graph,
 )
 from wordrep.lexops import lex_power, lex_product
-from wordrep.recognition import check_transitive, mu_exact, mu_verify
+from wordrep.recognition import check_transitive, comparability_decide, mu_exact, mu_verify
 
 C5_SPLIT = ([(0, 1), (1, 2)], [(2, 3), (3, 4), (0, 4)])
 
@@ -123,6 +126,39 @@ def test_comparability_split_power_rejects_bad_splits():
         decompose_power_two_comparability(c5, ([(0, 1)], [(2, 3)]), 2)
     with pytest.raises(InputError):  # comparability base needs no split cover
         decompose_power_two_comparability(path_graph(3), ([(0, 1)], [(1, 2)]), 2)
+
+
+def test_power_levels_are_product_steps():
+    # g^[2] = g over g: each power cover is its product cover on one level
+    c5 = cycle_graph(5)
+    p = lex_product(c5, c5)
+    assert decompose_power_k(c5, 2).parts == decompose_product_two(p).parts
+    halves = Decomposition(
+        c5,
+        tuple(
+            Part(edge_set(es), comparability_decide(Graph.from_edges(5, es))[1])
+            for es in C5_SPLIT
+        ),
+        "split",
+    )
+    power = decompose_power_two_comparability(c5, C5_SPLIT, 2)
+    tight = decompose_product_tight(p, halves, C5_SPLIT)
+    assert [(pt.edges, pt.certificate.payload) for pt in power.parts] == [
+        (pt.edges, pt.certificate.payload) for pt in tight.parts
+    ]
+
+
+def test_power_covers_build_each_level_once(monkeypatch):
+    calls = []
+
+    def counting(g1, g2):
+        calls.append(g2.n)
+        return lex_product(g1, g2)
+
+    monkeypatch.setattr(decomposition, "lex_product", counting)
+    decompose_power_k(cycle_graph(5), 4)
+    decompose_power_two_comparability(cycle_graph(5), C5_SPLIT, 4)
+    assert calls == [5, 25, 125] * 2
 
 
 # ── covers of general products from factor covers ──────────────────────────
