@@ -6,20 +6,26 @@ certified lower bound on how many parts any cover needs. Nothing returned
 rests on the construction being trusted — `decomposition_diagnostics`
 re-verifies all of it from the certificates alone.
 
+A part is described by its orientation alone: the part's edges are the
+edges of the orientation's host, and `_parts` reads them from there.
+
 Every product cover is one of two steps over the composition's two edge
 layers, cross edges between supervertices and interior edges within them:
 
-* `_cross_and_copies` turns each oriented outer part into a lexicographic
-  map with the lifted orientation (still semi-transitive), and copies each
-  oriented inner part into every supervertex, where vertex-disjointness
-  keeps the union's orientation semi-transitive. This gives k1 + k2 parts.
-* `_refilled` turns outer part i into its map refilled with comparability
-  class i of the inner factor inside every supervertex, oriented by
-  `orient_special`. This gives k1 parts.
+* `_cross_and_copies` turns each outer part into a lexicographic map with
+  the lifted orientation (still semi-transitive), and copies each inner
+  part into every supervertex with `_disjoint`, whose vertex-disjoint union
+  keeps the orientation semi-transitive. This gives k1 + k2 parts.
+* `_refilled` turns outer part i into its map refilled inside every
+  supervertex with the transitively oriented comparability class i of the
+  inner factor, built by `orient_special` from the orientations in hand,
+  with no search. This gives k1 parts.
 
 Powers are folds of these steps: g^[k] = g over g^[k-1], so each level
 applies the step once with g's cover outside and the previous level's cover
-inside.
+inside. The three-part cover of two minimal non-representable factors is
+assembled from the same pieces: two `_disjoint` unions, one of which holds
+an `orient_special` refill, and one lifted map.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .graphs import (
     LexStructure,
     Orientation,
     edge_set,
-    embed_arcs,
+    empty_graph,
     induced_subgraph,
 )
 from .lexops import (
@@ -48,7 +54,6 @@ from .lexops import (
     lex_product,
     lift_semi_transitive,
     orient_special,
-    special_subgraph,
     supervertex_witness,
 )
 from .recognition import (
@@ -75,11 +80,6 @@ __all__ = [
     "decomposition_verify",
 ]
 
-# An oriented part: its edge set and an orientation of the spanning
-# subgraph on those edges.
-_Oriented = tuple[frozenset[tuple[int, int]], Orientation]
-
-
 def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
     """Wrap an exact-search cover result as a Decomposition of g. An exact
     count of two or more is carried over as a certified lower bound, with
@@ -99,80 +99,73 @@ def _wr_orientation(g: Graph) -> Orientation:
     return cert.payload
 
 
-def _oriented(part: Part, host_n: int) -> _Oriented:
-    """A cover part with a semi-transitive orientation of its spanning
-    subgraph, reusing the part's own certificate when it already is one."""
+def _oriented(part: Part, host_n: int) -> Orientation:
+    """A semi-transitive orientation of a cover part's spanning subgraph,
+    reusing the part's own certificate when it already is one."""
     sub = Graph.from_edges(host_n, part.edges)
     cert = part.certificate
     if cert.kind in (SEMI_TRANSITIVE, TRANSITIVE) and cert.payload.host == sub:
-        return part.edges, cert.payload
-    return part.edges, _wr_orientation(sub)
+        return cert.payload
+    return _wr_orientation(sub)
 
 
-def _whole(g: Graph) -> _Oriented:
-    """The one-part cover of a representable graph."""
-    return edge_set(g.edges()), _wr_orientation(g)
+def _parts(oriented: list[Orientation], kind: str = SEMI_TRANSITIVE) -> tuple[Part, ...]:
+    return tuple(Part(edge_set(o.host.edges()), Certificate(kind, o)) for o in oriented)
 
 
-def _parts(oriented: list[_Oriented], kind: str = SEMI_TRANSITIVE) -> tuple[Part, ...]:
-    return tuple(Part(es, Certificate(kind, o)) for es, o in oriented)
-
-
-def _replicate(p: LexProduct, edges: frozenset[tuple[int, int]], o: Orientation) -> _Oriented:
-    """One copy of an oriented inner subgraph per supervertex. Copies are
-    vertex-disjoint, so the combined orientation has no cross arcs and
-    inherits semi-transitivity (and transitivity) from the single copy."""
-    copies, size = p.outer.n, p.inner.n
-    new_edges = frozenset(
-        (a + i * size, b + i * size) for i in range(copies) for a, b in edges
-    )
-    arcs = [
-        (u + i * size, v + i * size) for i in range(copies) for u, v in o.arcs()
-    ]
-    sub = Graph.from_edges(p.graph.n, new_edges)
-    return new_edges, Orientation.from_arcs(sub, arcs)
+def _disjoint(n: int, pieces: Iterable[tuple[Orientation, Sequence[int]]]) -> Orientation:
+    """The union on n vertices of oriented pieces placed by vertex maps
+    (piece vertex a lands on vmap[a]). The pieces must be vertex-disjoint;
+    then no arc joins two of them, every directed path stays in one piece,
+    and the union inherits semi-transitivity (and transitivity) from them."""
+    adj, out = [0] * n, [0] * n
+    for o, vmap in pieces:
+        for u, v in o.arcs():
+            a, b = vmap[u], vmap[v]
+            out[a] |= 1 << b
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return Orientation(Graph(n, tuple(adj)), tuple(out))
 
 
 def _cross_and_copies(
-    p: LexProduct, outer_parts: list[_Oriented], inner_parts: list[_Oriented]
-) -> list[_Oriented]:
+    p: LexProduct, outer_parts: list[Orientation], inner_parts: list[Orientation]
+) -> list[Orientation]:
     """Cover p with one lifted map per outer part, then one set of
     supervertex copies per inner part."""
-    parts = []
-    for edges, o in outer_parts:
-        m = lex_map(p, edges)
-        parts.append((edge_set(m.graph.edges()), lift_semi_transitive(m, o)))
-    return parts + [_replicate(p, edges, o) for edges, o in inner_parts]
+    parts = [lift_semi_transitive(lex_map(p, o.host.edges()), o) for o in outer_parts]
+    blocks = [p.structure.supervertex(i) for i in range(p.outer.n)]
+    return parts + [_disjoint(p.graph.n, [(o, b) for b in blocks]) for o in inner_parts]
 
 
 def _refilled(
-    p: LexProduct, outer_parts: list[_Oriented], fills: list[_Oriented]
-) -> list[_Oriented]:
+    p: LexProduct, outer_parts: list[Orientation], fills: list[Orientation]
+) -> list[Orientation]:
     """Cover p with outer part i's map refilled by transitively oriented
     fill i inside every supervertex."""
-    n = p.outer.n
-    parts = []
-    for (edges, o), (fill_edges, fill_o) in zip(outer_parts, fills):
-        s = special_subgraph(lex_map(p, edges), [fill_edges] * n)
-        parts.append((edge_set(s.graph.edges()), orient_special(s, o, [fill_o] * n)))
-    return parts
+    return [
+        orient_special(lex_map(p, o.host.edges()), o, [fill] * p.outer.n)
+        for o, fill in zip(outer_parts, fills)
+    ]
 
 
 def _comparability_split(
     g: Graph, classes: Iterable[Iterable[tuple[int, int]]], names: Iterable, what: str
-) -> list[_Oriented]:
+) -> list[Orientation]:
     """Check that the named edge classes are comparability subgraphs of g
     whose union is g's edges, and orient each transitively."""
-    split = []
+    edges = edge_set(g.edges())
+    split, covered = [], frozenset()
     for name, raw in zip(names, classes):
         es = edge_set(raw)
-        if not es <= edge_set(g.edges()):
+        if not es <= edges:
             raise InputError(f"split class {name} uses non-edges of the {what}")
         ok, cert = comparability_decide(Graph.from_edges(g.n, es))
         if not ok:
             raise InputError(f"split class {name} is not a comparability subgraph")
-        split.append((es, cert.payload))
-    if frozenset().union(*(es for es, _ in split)) != edge_set(g.edges()):
+        split.append(cert.payload)
+        covered |= es
+    if covered != edges:
         raise InputError(f"split classes must union to the {what}'s edges")
     return split
 
@@ -189,7 +182,7 @@ def decompose_product_two(p: LexProduct) -> Decomposition:
         raise InputError("outer factor needs at least one edge")
     if not wr_decide(g1)[0] or not wr_decide(g2)[0]:
         raise InputError("both factors must be word-representable")
-    parts = _cross_and_copies(p, [_whole(g1)], [_whole(g2)])
+    parts = _cross_and_copies(p, [_wr_orientation(g1)], [_wr_orientation(g2)])
     bound, witness = 1, None
     if not comparability_decide(g2)[0]:
         bound, witness = 2, supervertex_witness(p.structure, g1)
@@ -216,7 +209,7 @@ def decompose_power_k(g: Graph, k: int) -> Decomposition:
     if not wr_decide(g)[0]:
         raise InputError("base graph must be word-representable")
     _refuse_comparability_base(g)
-    base = [_whole(g)]
+    base = [_wr_orientation(g)]
     parts, level = base, g
     for _ in range(k - 1):
         p = lex_product(g, level)
@@ -248,7 +241,7 @@ def decompose_power_two_comparability(
     for _ in range(k - 1):
         p = lex_product(g, level)
         parts, level = _refilled(p, halves, parts), p.graph
-        if not all(check_transitive(o) for _, o in parts):
+        if not all(check_transitive(o) for o in parts):
             raise InternalError("combined orientation lost transitivity")
     witness = supervertex_witness(LexStructure(p.inner.n, g.n), p.inner)
     return Decomposition(level, _parts(parts, TRANSITIVE), "power-comparability", 2, witness)
@@ -305,8 +298,7 @@ def decompose_product_tight(
     if len(comp_split) > k1:
         raise InputError("more inner split classes than outer parts")
     fills = _comparability_split(g2, comp_split, range(k1), "inner factor")
-    empty = (frozenset(), Orientation(Graph.from_edges(g2.n, []), (0,) * g2.n))
-    fills += [empty] * (k1 - len(fills))
+    fills += [Orientation(empty_graph(g2.n), (0,) * g2.n)] * (k1 - len(fills))
     parts = _refilled(p, [_oriented(part, g1.n) for part in d1.parts], fills)
 
     bound, witness = 1, None
@@ -359,81 +351,44 @@ def decompose_min_nonwr_product(
     if not 0 <= drop < m:
         raise InputError(f"dropped vertex {drop} out of range")
     host = p.graph
-    inner_edges = edge_set(g2.edges())
+    blocks = [st.supervertex(i) for i in range(n)]
+    others = [i for i in range(n) if i != r]
+
+    def star(a: int) -> Orientation:
+        """A transitive orientation of g2's edges at inner vertex a."""
+        fill = Graph.from_edges(m, [(a, b) for b in g2.neighbors(a)])
+        return comparability_decide(fill)[1].payload
+
+    def minus(i: int, a: int) -> tuple[Orientation, list[int]]:
+        """Block i's interior without inner vertex a, oriented and placed."""
+        kept = [b for b in range(m) if b != a]
+        return _wr_orientation(induced_subgraph(g2, kept)), [blocks[i][b] for b in kept]
 
     # part one: R's interior minus `drop`, plus the rooted-star refill of
     # the map over the outer factor without r
-    kept_r = [a for a in range(m) if a != drop]
-    sub_r = induced_subgraph(g2, kept_r)
-    arcs1 = embed_arcs(_wr_orientation(sub_r), [st.flat(r, a) for a in kept_r])
-    edges1 = {
-        (st.flat(r, a), st.flat(r, b))
-        for a, b in inner_edges
-        if a != drop and b != drop
-    }
-    others = [i for i in range(n) if i != r]
     g1r = induced_subgraph(g1, others)
-    q = lex_product(g1r, g2)
-    star_fills = []
-    for i in others:
-        root = roots[i]
-        star_fills.append([(root, b) for b in g2.neighbors(root)])
-    mq = lex_map(q, g1r.edges())
-    sq = special_subgraph(mq, star_fills)
-    greens = [comparability_decide(Graph.from_edges(m, fill))[1].payload for fill in star_fills]
-    comb = orient_special(sq, _wr_orientation(g1r), greens)
-    qmap = [st.flat(others[i], a) for i in range(len(others)) for a in range(m)]
-    arcs1 += embed_arcs(comb, qmap)
-    edges1 |= {
-        (qmap[a], qmap[b]) if qmap[a] < qmap[b] else (qmap[b], qmap[a])
-        for a, b in sq.graph.edges()
-    }
-    part1 = Part(
-        frozenset(edges1),
-        Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(Graph.from_edges(host.n, edges1), arcs1)),
+    refill = orient_special(
+        lex_map(lex_product(g1r, g2), g1r.edges()),
+        _wr_orientation(g1r),
+        [star(roots[i]) for i in others],
     )
+    part1 = _disjoint(host.n, [minus(r, drop), (refill, [v for i in others for v in blocks[i]])])
 
     # part two: leftover interiors — the dropped vertex's star inside R,
     # each other block minus its root
-    edges2 = set()
-    arcs2 = []
-    drop_star = [(drop, b) for b in g2.neighbors(drop)]
-    arcs2 += embed_arcs(
-        comparability_decide(Graph.from_edges(m, drop_star))[1].payload,
-        [st.flat(r, a) for a in range(m)],
-    )
-    edges2 |= {
-        (st.flat(r, a), st.flat(r, b)) if a < b else (st.flat(r, b), st.flat(r, a))
-        for a, b in drop_star
-    }
-    for i in others:
-        kept = [a for a in range(m) if a != roots[i]]
-        sub = induced_subgraph(g2, kept)
-        arcs2 += embed_arcs(_wr_orientation(sub), [st.flat(i, a) for a in kept])
-        edges2 |= {
-            (st.flat(i, a), st.flat(i, b))
-            for a, b in inner_edges
-            if a != roots[i] and b != roots[i]
-        }
-    part2 = Part(
-        frozenset(edges2),
-        Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(Graph.from_edges(host.n, edges2), arcs2)),
-    )
+    part2 = _disjoint(host.n, [(star(drop), blocks[r])] + [minus(i, roots[i]) for i in others])
 
     # part three: the map of the outer star at r — all cross edges into R
     outer_star = [(r, j) for j in g1.neighbors(r)]
-    m3 = lex_map(p, outer_star)
-    red3 = lift_semi_transitive(m3, _wr_orientation(Graph.from_edges(n, outer_star)))
-    part3 = Part(edge_set(m3.graph.edges()), Certificate(SEMI_TRANSITIVE, red3))
-
-    all_parts = (part1, part2, part3)
-    total = sum(len(pt.edges) for pt in all_parts)
-    union = part1.edges | part2.edges | part3.edges
-    if total != len(union) or union != edge_set(host.edges()):
-        raise InternalError("the three parts must partition the host's edges")
-    return Decomposition(
-        host, all_parts, "min-product", 2, tuple(st.supervertex(0))
+    part3 = lift_semi_transitive(
+        lex_map(p, outer_star), _wr_orientation(Graph.from_edges(n, outer_star))
     )
+
+    parts = _parts([part1, part2, part3])
+    union = frozenset().union(*(pt.edges for pt in parts))
+    if sum(len(pt.edges) for pt in parts) != len(union) or union != edge_set(host.edges()):
+        raise InternalError("the three parts must partition the host's edges")
+    return Decomposition(host, parts, "min-product", 2, tuple(blocks[0]))
 
 
 # ── verification ──────────────────────────────────────────────────────────

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 from .certificates import Certificate
 from .errors import InputError, InternalError
 from .graphs import Graph, induced_subgraph
-from .lexops import lex_power
+from .lexops import lex_power, lex_product
 from .recognition import wr_decide
 
 __all__ = [
@@ -172,11 +172,11 @@ def verify_power_bound(
     if k == 1:
         e = eta(g)
         return PowerBoundReport(1, cap, cap, e.value, 0, 0)
-    chain = lex_power(g, k)
-    head = chain.head_structure()
     prev = lex_power(g, k - 1).graph
+    power = lex_product(g, prev)
+    head = power.structure
     for i in range(g.n):
-        if induced_subgraph(chain.graph, head.supervertex(i)) != prev:
+        if induced_subgraph(power.graph, head.supervertex(i)) != prev:
             raise InternalError(f"supervertex {i} does not induce the previous power")
     rng = random.Random(seed)
     selections = 0
@@ -186,7 +186,7 @@ def verify_power_bound(
             raise InternalError("premise check missed a representable subset")
         for _ in range(samples):
             picks = [head.flat(i, rng.randrange(head.inner_n)) for i in outer_pick]
-            sub = induced_subgraph(chain.graph, picks)
+            sub = induced_subgraph(power.graph, picks)
             if sub != base:
                 raise InternalError(
                     "a one-per-supervertex selection does not project onto the base"

@@ -10,7 +10,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
@@ -175,13 +175,6 @@ class Orientation:
             for v in bits(row):
                 inn[v] |= 1 << u
         return Orientation(self.host, tuple(inn))
-
-
-def embed_arcs(
-    o: Orientation, vmap: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Arcs of o relabeled through vmap (part vertex i -> host id vmap[i])."""
-    return [(vmap[u], vmap[v]) for u, v in o.arcs()]
 
 
 # ── lexicographic structure bookkeeping ──────────────────────────────────

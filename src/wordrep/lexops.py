@@ -17,6 +17,14 @@ paths of the outer orientation), and a lifted semi-transitive cross part
 stays semi-transitive after adding transitively oriented supervertex
 interiors: any shortcut would project to one outside or collapse into one
 interior.
+
+A refill is described by orientations alone: `orient_special` takes the map,
+a semi-transitive orientation of its outer subgraph and one transitive
+orientation per supervertex, whose hosts are the fills, and builds the
+composite graph together with its orientation, checking its inputs with the
+polynomial checkers only. `special_subgraph` is the entry for raw edge-list
+fills: it decides the outer subgraph and the fills, then takes its graph
+from `orient_special`.
 """
 
 from __future__ import annotations
@@ -86,10 +94,9 @@ class LexMapGraph:
 
 @dataclass(frozen=True)
 class SpecialSubgraph:
-    """A lexicographic map together with comparability refills per
-    supervertex; the union of the two layers."""
+    """A lexicographic map refilled with a comparability subgraph of the
+    inner factor inside each supervertex; the union of the two layers."""
 
-    map_part: LexMapGraph
     fills: tuple[frozenset[tuple[int, int]], ...]
     graph: Graph
 
@@ -160,13 +167,6 @@ def lift_semi_transitive(m: LexMapGraph, o: Orientation) -> Orientation:
     return _lift(m, o)
 
 
-def lift_transitive(m: LexMapGraph, o: Orientation) -> Orientation:
-    """Uniform lift of a transitive orientation; the lift stays transitive."""
-    if not check_transitive(o):
-        raise InputError("outer orientation is not transitive")
-    return _lift(m, o)
-
-
 def special_subgraph(
     m: LexMapGraph, fills: Sequence[Iterable[tuple[int, int]]]
 ) -> SpecialSubgraph:
@@ -180,10 +180,11 @@ def special_subgraph(
     st = m.structure
     if len(fills) != st.outer_n:
         raise InputError(f"need one fill per supervertex ({st.outer_n})")
-    if not wr_decide(m.outer_subgraph())[0]:
+    outer_ok, outer_cert = wr_decide(m.outer_subgraph())
+    if not outer_ok:
         raise InputError("selected outer subgraph is not word-representable")
     inner = m.product.inner
-    fsets = []
+    fsets, greens = [], []
     for i, fill in enumerate(fills):
         fs = edge_set(fill)
         for a, b in fs:
@@ -191,50 +192,50 @@ def special_subgraph(
                 raise InputError(
                     f"fill {i} uses ({a}, {b}), not an edge of the inner factor"
                 )
-        if not comparability_decide(Graph.from_edges(inner.n, list(fs)))[0]:
+        ok, cert = comparability_decide(Graph.from_edges(inner.n, list(fs)))
+        if not ok:
             raise InputError(f"fill {i} is not a comparability subgraph")
         fsets.append(fs)
-    adj = list(m.graph.adj)
-    for i, fs in enumerate(fsets):
-        off = i * inner.n
-        for a, b in fs:
-            adj[off + a] |= 1 << (off + b)
-            adj[off + b] |= 1 << (off + a)
-    return SpecialSubgraph(m, tuple(fsets), Graph(st.n, tuple(adj)))
+        greens.append(cert.payload)
+    return SpecialSubgraph(tuple(fsets), orient_special(m, outer_cert.payload, greens).host)
 
 
 def orient_special(
-    s: SpecialSubgraph, red: Orientation, greens: Sequence[Orientation]
+    m: LexMapGraph, red: Orientation, greens: Sequence[Orientation]
 ) -> Orientation:
-    """Combine a lifted cross orientation with per-supervertex interior
-    orientations.
+    """Refill a lexicographic map inside every supervertex and orient the
+    composite in one pass.
 
     red orients the selected outer subgraph and must be semi-transitive;
-    each green transitively orients its supervertex's fill. The combined
-    orientation of the composite graph is semi-transitive, and transitive
-    whenever red is: a directed path alternates interior segments and cross
-    arcs, so collapsing supervertices projects it onto the outer
-    orientation, where the closing arc forces all outer pairs, and inside a
-    single supervertex transitivity closes everything.
+    green i transitively orients a subgraph of the inner factor, and its
+    host is the fill of supervertex i. The combined orientation of the
+    composite graph is semi-transitive, and transitive whenever red is: a
+    directed path alternates interior segments and cross arcs, so
+    collapsing supervertices projects it onto the outer orientation, where
+    the closing arc forces all outer pairs, and inside a single supervertex
+    transitivity closes everything.
     """
-    st = s.map_part.structure
-    inner = s.map_part.product.inner
+    st = m.structure
+    inner = m.product.inner
     if len(greens) != st.outer_n:
         raise InputError(f"need one interior orientation per supervertex ({st.outer_n})")
     if not check_semi_transitive(red):
         raise InputError("cross orientation is not semi-transitive")
-    lifted = _lift(s.map_part, red)
-    out = list(lifted.out)
+    adj = list(m.graph.adj)
+    out = list(_lift(m, red).out)
     for i, green in enumerate(greens):
-        want = Graph.from_edges(inner.n, list(s.fills[i]))
-        if green.host != want:
-            raise InputError(f"interior orientation {i} does not orient fill {i}")
+        fill = green.host
+        if fill.n != inner.n:
+            raise InputError(f"interior orientation {i} has {fill.n} vertices, not {inner.n}")
+        if any(row & ~inner.adj[a] for a, row in enumerate(fill.adj)):
+            raise InputError(f"interior orientation {i} orients a non-edge of the inner factor")
         if not check_transitive(green):
             raise InputError(f"interior orientation {i} is not transitive")
         off = i * inner.n
         for a in range(inner.n):
+            adj[off + a] |= fill.adj[a] << off
             out[off + a] |= green.out[a] << off
-    return Orientation(s.graph, tuple(out))
+    return Orientation(Graph(st.n, tuple(adj)), tuple(out))
 
 
 # ── the product characterization ─────────────────────────────────────────

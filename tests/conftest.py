@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from wordrep.graphs import (
     Graph,
@@ -12,6 +15,10 @@ from wordrep.graphs import (
     path_graph,
     wheel_graph,
 )
+
+# Hypothesis caches what it reads from the source files on disk, even with
+# its example database off; keep that cache out of the working tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "wordrep-hypothesis")
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordrep import recognition
 from wordrep.cli import main
@@ -349,6 +352,33 @@ def test_input_errors_exit_two():
     assert run(["mu", C5, W5])[0] == 2
     assert run(["mu", C5, "--constructive", "power-comparability", "--k", "2"])[0] == 2
     assert run(["frobnicate"])[0] == 2
+
+
+TAMPERED_COVERS = (
+    ["mu", W5, C5, "--constructive", "product-tight", "--split", SPLIT_C5],
+    ["mu", W5, W5, "--constructive", "min-product"],
+    ["mu", C5, "--constructive", "power", "--k", "2"],
+)
+
+
+@functools.lru_cache(maxsize=None)
+def cover_document(i: int) -> str:
+    code, out, _ = run(TAMPERED_COVERS[i])
+    assert code == 0
+    return out
+
+
+@settings(database=None, deadline=None)
+@given(data=st.data())
+def test_verify_rejects_any_single_deleted_arc_or_edge(data):
+    # reversing an arc is not tested: the result can still be a valid
+    # semi-transitive orientation of the part
+    tampered = doc(cover_document(data.draw(st.integers(0, len(TAMPERED_COVERS) - 1))))
+    rec = next(r for r in tampered["certificates"] if r["kind"] == "decomposition")
+    part = data.draw(st.sampled_from(rec["parts"]))
+    items = data.draw(st.sampled_from([part["edges"], part["certificate"]["arcs"]]))
+    del items[data.draw(st.integers(0, len(items) - 1))]
+    assert run(["verify", json.dumps(tampered)])[0] == 1
 
 
 def test_internal_fault_exits_four(monkeypatch):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from wordrep import decomposition
+from wordrep import decomposition, recognition
 from wordrep.certificates import WORD, Certificate
 from wordrep.decomposition import (
     Decomposition,
@@ -159,6 +159,25 @@ def test_power_covers_build_each_level_once(monkeypatch):
     decompose_power_k(cycle_graph(5), 4)
     decompose_power_two_comparability(cycle_graph(5), C5_SPLIT, 4)
     assert calls == [5, 25, 125] * 2
+
+
+def test_refilled_covers_search_no_fill(monkeypatch):
+    # only the input checks search: refusing the comparability base C5
+    # (its witness shrinking included) and the two split classes; every
+    # level is refilled from the orientations already in hand
+    sizes = []
+    find = recognition._find_transitive
+
+    def counting(g):
+        sizes.append(g.n)
+        return find(g)
+
+    monkeypatch.setattr(recognition, "_WR_MEMO", {})
+    monkeypatch.setattr(recognition, "_COMP_MEMO", {})
+    monkeypatch.setattr(recognition, "_find_transitive", counting)
+    d = decompose_power_two_comparability(cycle_graph(5), C5_SPLIT, 3)
+    assert d.host.n == 125 and d.value == 2
+    assert sizes and max(sizes) <= 5
 
 
 # ── covers of general products from factor covers ──────────────────────────

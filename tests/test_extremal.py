@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from wordrep import extremal, lexops
 from wordrep.errors import InputError
 from wordrep.extremal import (
     eta,
@@ -19,6 +20,7 @@ from wordrep.graphs import (
     induced_subgraph,
     wheel_graph,
 )
+from wordrep.lexops import lex_product
 from wordrep.recognition import verify_certificate, wr_decide
 
 from conftest import random_graph
@@ -166,6 +168,22 @@ def test_power_bound_sampling_is_seeded():
     a = verify_power_bound(extremal8(), 2, 6, seed=7, samples=5)
     b = verify_power_bound(extremal8(), 2, 6, seed=7, samples=5)
     assert a == b
+
+
+def test_power_bound_builds_each_power_once(monkeypatch):
+    # g^[3] = g over g^[2]: building g^[2] once and composing g over it
+    # takes two product steps; building g^[3] and g^[2] apart takes three
+    calls = []
+
+    def counting(g1, g2):
+        calls.append(g2.n)
+        return lex_product(g1, g2)
+
+    monkeypatch.setattr(lexops, "lex_product", counting)
+    monkeypatch.setattr(extremal, "lex_product", counting, raising=False)
+    r = verify_power_bound(extremal8(), 3, 6, samples=2)
+    assert (r.bound, r.supervertices_checked, r.selections_checked) == (216, 8, 16)
+    assert calls == [8, 64]
 
 
 def test_power_bound_rejects_unmet_premise():

@@ -21,7 +21,6 @@ from wordrep.lexops import (
     lex_power,
     lex_product,
     lift_semi_transitive,
-    lift_transitive,
     orient_special,
     product_wr_characterize,
     special_subgraph,
@@ -196,7 +195,6 @@ def test_lift_of_transitive_orientation_stays_transitive():
     p3 = path_graph(3)
     m = lex_map(lex_product(p3, cycle_graph(5)), p3.edges())
     o = comparability_decide(p3)[1].payload
-    assert check_transitive(lift_transitive(m, o))
     assert check_transitive(lift_semi_transitive(m, o))
 
 
@@ -206,12 +204,6 @@ def test_lift_rejects_bad_orientations():
     cyclic = Orientation.from_arcs(c5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     with pytest.raises(InputError):
         lift_semi_transitive(m, cyclic)
-    # no orientation of a 5-cycle is transitive, so the transitive lift
-    # can never be fed a valid input from this outer subgraph
-    assert not comparability_decide(c5)[0]
-    good = wr_decide(c5)[1].payload
-    with pytest.raises(InputError):
-        lift_transitive(m, good)
 
 
 def test_lift_comparability_equivalence(rng=random.Random(15)):
@@ -258,7 +250,7 @@ def test_special_orientation_verifies_on_cycle_over_cycle():
     s = special_subgraph(m, [fill] * 5)
     red = wr_decide(c5)[1].payload
     green = comparability_decide(Graph.from_edges(5, fill))[1].payload
-    comb = orient_special(s, red, [green] * 5)
+    comb = orient_special(m, red, [green] * 5)
     assert check_semi_transitive(comb)
     assert comb.host == s.graph
 
@@ -284,19 +276,17 @@ def test_special_rejects_non_representable_outer():
 def test_orient_special_with_empty_fills_reduces_to_lift():
     c5 = cycle_graph(5)
     m = lex_map(lex_product(c5, c5), c5.edges())
-    s = special_subgraph(m, [[]] * 5)
     red = wr_decide(c5)[1].payload
     idle = Orientation(empty_graph(5), (0,) * 5)
-    assert orient_special(s, red, [idle] * 5) == lift_semi_transitive(m, red)
+    assert orient_special(m, red, [idle] * 5) == lift_semi_transitive(m, red)
 
 
 def test_orient_special_all_transitive_gives_transitive():
     p3 = path_graph(3)
     p = lex_product(p3, p3)
     m = lex_map(p, p3.edges())
-    s = special_subgraph(m, [p3.edges()] * 3)
     o = comparability_decide(p3)[1].payload
-    comb = orient_special(s, o, [o] * 3)
+    comb = orient_special(m, o, [o] * 3)
     assert check_transitive(comb)
     assert comb.host == p.graph
 
@@ -304,11 +294,37 @@ def test_orient_special_all_transitive_gives_transitive():
 def test_orient_special_rejects_mismatched_greens():
     p3 = path_graph(3)
     m = lex_map(lex_product(p3, p3), p3.edges())
-    s = special_subgraph(m, [[(0, 1)]] * 3)
     red = comparability_decide(p3)[1].payload
-    wrong_host = comparability_decide(p3)[1].payload
+    good = comparability_decide(p3)[1].payload
+    # (0, 2) is not an edge of the inner path
+    non_inner = Orientation.from_arcs(Graph.from_edges(3, [(0, 2)]), [(0, 2)])
     with pytest.raises(InputError):
-        orient_special(s, red, [wrong_host] * 3)
+        orient_special(m, red, [good, non_inner, good])
+    # a green on four vertices does not fit a three-vertex supervertex
+    too_big = comparability_decide(path_graph(4))[1].payload
+    with pytest.raises(InputError):
+        orient_special(m, red, [good, good, too_big])
+    with pytest.raises(InputError):  # one green per supervertex
+        orient_special(m, red, [good] * 2)
+
+
+def test_orient_special_rejects_non_transitive_greens_and_bad_reds():
+    p3, c5 = path_graph(3), cycle_graph(5)
+    m = lex_map(lex_product(p3, p3), p3.edges())
+    red = comparability_decide(p3)[1].payload
+    good = comparability_decide(p3)[1].payload
+    # 0 -> 1 -> 2 has no arc 0 -> 2 to close it
+    chain = Orientation.from_arcs(p3, [(0, 1), (1, 2)])
+    assert check_semi_transitive(chain) and not check_transitive(chain)
+    with pytest.raises(InputError):
+        orient_special(m, red, [good, chain, good])
+    # a directed 5-cycle is not semi-transitive
+    mc = lex_map(lex_product(c5, p3), c5.edges())
+    cyclic = Orientation.from_arcs(c5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    with pytest.raises(InputError):
+        orient_special(mc, cyclic, [good] * 5)
+    # a semi-transitive red passes with the same greens
+    assert orient_special(mc, wr_decide(c5)[1].payload, [good] * 5).host.n == 15
 
 
 def test_special_comparability_equivalence(rng=random.Random(16)):
