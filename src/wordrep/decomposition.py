@@ -39,7 +39,7 @@ from .certificates import (
     Decomposition,
     Part,
 )
-from .errors import InputError, InternalError
+from .errors import BudgetExceeded, InputError, InternalError
 from .graphs import (
     Graph,
     LexStructure,
@@ -57,6 +57,7 @@ from .lexops import (
     supervertex_witness,
 )
 from .recognition import (
+    _cover_search,
     check_transitive,
     comparability_decide,
     is_minimal_non_wr,
@@ -394,11 +395,24 @@ def decompose_min_nonwr_product(
 # ── verification ──────────────────────────────────────────────────────────
 
 
+# A lower bound above 2 is checked by re-running the exact cover search on
+# the witness's induced subgraph. The document chooses that subgraph, so the
+# search is capped: a witness of at most this many vertices, and at most this
+# many assignments for each part count below the bound. A graph on at most
+# 10 vertices splits into 4 bipartite, hence representable, parts, so at
+# most three part counts are ever searched.
+_LOWER_BOUND_WITNESS_CAP = 10
+_LOWER_BOUND_BUDGET = 1_000
+
+
 def verify_lower_bound(d: Decomposition) -> list[str]:
     """Diagnostics for the cover's claimed lower bound; empty means it
     holds. A bound of 2 needs a witness set inducing a non-representable
-    subgraph; higher bounds re-run the exact cover search on the witness's
-    induced subgraph, which must be small enough for that to finish."""
+    subgraph. A higher bound b needs a witness on which the cover search
+    finds no cover by 2, ..., b - 1 parts; that search raises
+    BudgetExceeded when the witness is larger than
+    `_LOWER_BOUND_WITNESS_CAP` or a part count uses up
+    `_LOWER_BOUND_BUDGET` assignments."""
     if d.lower_bound <= 1:
         return []
     if d.lower_bound_witness is None:
@@ -406,16 +420,17 @@ def verify_lower_bound(d: Decomposition) -> list[str]:
     vs = d.lower_bound_witness
     if len(set(vs)) != len(vs) or any(not 0 <= v < d.host.n for v in vs):
         return ["witness is not a set of host vertices"]
+    if d.lower_bound > 2 and len(vs) > _LOWER_BOUND_WITNESS_CAP:
+        raise BudgetExceeded(
+            f"a lower bound above 2 is re-searched only on witnesses of at most "
+            f"{_LOWER_BOUND_WITNESS_CAP} vertices, this one has {len(vs)}"
+        )
     sub = induced_subgraph(d.host, vs)
-    if d.lower_bound == 2:
-        if wr_decide(sub)[0]:
-            return ["witness induces a representable subgraph"]
-        return []
-    r = mu_exact(sub)
-    if r.status != "exact":
-        return ["witness subgraph's exact cover number did not resolve"]
-    if r.value < d.lower_bound:
-        return [f"witness subgraph needs only {r.value} parts"]
+    if wr_decide(sub)[0]:
+        return ["witness induces a representable subgraph"]
+    for k in range(2, d.lower_bound):
+        if _cover_search(sub, k, _LOWER_BOUND_BUDGET) is not None:
+            return [f"witness subgraph needs only {k} parts"]
     return []
 
 

@@ -17,9 +17,11 @@ Both deciders run one engine, `_backtrack`: an explicit-stack search over
 the edges in index order, so its depth is bounded by memory rather than by
 the interpreter's recursion limit. Each decider supplies only its partial
 state and a propagator, which places an arc plus every direction it forces
-and rejects dead partial states. On failure the vertex set is shrunk to an
-inclusion-minimal induced subgraph that still fails. Results are memoized
-by graph value.
+and rejects dead partial states. The semi-transitive propagator keeps
+ancestor and descendant sets, so after each new arc it rechecks only the
+arcs and open edges that arc can affect. On failure the vertex set is
+shrunk to an inclusion-minimal induced subgraph that still fails. Results
+are memoized by graph value, up to a fixed total of vertices.
 """
 
 from __future__ import annotations
@@ -180,17 +182,18 @@ def check_transitive(o: Orientation) -> bool:
 # ── orientation search ───────────────────────────────────────────────────
 
 
-def _backtrack(g: Graph, state: tuple[list[int], list[int], list[int]], propagate) -> Optional[Orientation]:
+def _backtrack(g: Graph, state: tuple, propagate) -> Optional[Orientation]:
     """Orient g edge by edge in index order, backtracking on an explicit
     stack whose entries hold an edge, the state before deciding it and the
     directions still to try.
 
-    `state` is (arc out-sets, a second per-vertex list, edge directions with
-    0 open, 1 = as stored, 2 = reversed); `propagate(i, d)` sets edge i to
-    direction d plus everything that forces, and returns False on a dead
-    state.
+    `state` is a tuple of mutable sequences: the arc out-sets first, the
+    edge directions last (a bytearray, 0 open, 1 = as stored, 2 =
+    reversed), and whatever per-vertex lists the propagator keeps in
+    between. `propagate(i, d)` sets edge i to direction d plus everything
+    that forces, and returns False on a dead state.
     """
-    out, aux, dirs = state
+    out, dirs = state[0], state[-1]
     m = len(dirs)
     stack = []
     # reversing every arc preserves both properties, so the very first
@@ -200,46 +203,66 @@ def _backtrack(g: Graph, state: tuple[list[int], list[int], list[int]], propagat
         i = next((j for j in range(i, m) if not dirs[j]), m)  # edges before i are decided
         if i == m:
             return Orientation(g, tuple(out))
-        stack.append((i, (out[:], aux[:], dirs[:]), todo))
+        stack.append((i, tuple(s[:] for s in state), todo))
         while not propagate(i, todo.pop()):
             while not stack[-1][2]:
                 stack.pop()
                 if not stack:
                     return None
             i, snap, todo = stack[-1]
-            out[:], aux[:], dirs[:] = snap
+            for s, saved in zip(state, snap):
+                s[:] = saved
         todo = [2, 1]
 
 
 def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
+    """Search for a semi-transitive orientation of g.
+
+    The state keeps, beside the arcs, the strict descendants `reach` and
+    the strict ancestors `anc` of every vertex over the placed arcs, so the
+    path set of an arc p -> q, every vertex on some directed p-to-q path,
+    is M(p, q) = (reach[p] | p) & (anc[q] | q). A state is dead when some
+    M(p, q) holds a pair x, y with a path x to y but no edge x, y: no later
+    arc can repair it. An open edge is forced once one end reaches the
+    other.
+
+    Propagation runs in rounds: place the queued arcs, recheck path sets,
+    queue the newly forced edges. Each round starts from a state with no
+    dead pair whose forced open edges are all queued: the empty state, a
+    state the search resumes from (its last round queued nothing), or the
+    end of the previous round. So a round needs to look only where its own
+    arcs changed something.
+
+    Call a new arc a -> b growing if a did not already reach b when it was
+    placed. In any path, a new arc that did not grow can be replaced by the
+    path from a to b that existed when it was placed; repeating this leaves
+    a path of old and growing arcs only. Let x, y be a dead pair in M(p, q)
+    after the round and take a path p ~> x ~> y ~> q. If it holds no
+    growing arc after the replacements and p -> q is old, the pair was dead
+    before the round. So either p -> q is new (a new arc that did not grow
+    is rechecked itself), or the path runs through a growing arc a -> b:
+    then p is a or an ancestor of a and q is b or a descendant of b, with
+    `reach` and `anc` as they stand at check time. By the same replacement
+    an open edge x, y with x ~> y after the round runs between those two
+    sets. Only neighbours of the second set have an arc or edge into it,
+    which narrows p further. Rechecking these arcs therefore fails exactly
+    when rechecking every arc would, and the forced edges found are all of
+    them. Forced arcs add no reachability, so the state after a round does
+    not depend on the order they are queued in.
+    """
     n, adj = g.n, g.adj
     edges = g.edges()
-    m = len(edges)
+    eix = {e: i for i, e in enumerate(edges)}
     out = [0] * n
-    reach = [0] * n  # strict reachability over placed arcs
-    dirs = [0] * m  # 0 open, 1 = as stored, 2 = reversed
-
-    def shortcut_free() -> bool:
-        # partial test: a pair inside some arc's path set that is reachable
-        # but not graph-adjacent can never be repaired by more arcs
-        for p in range(n):
-            op = out[p]
-            if not op:
-                continue
-            rp = reach[p]
-            for q in bits(op):
-                mset = 1 << p | 1 << q
-                for w in bits(rp & ~(1 << q)):
-                    if reach[w] >> q & 1:
-                        mset |= 1 << w
-                for a in bits(mset):
-                    if reach[a] & mset & ~adj[a]:
-                        return False
-        return True
+    reach = [0] * n  # strict descendants over placed arcs
+    anc = [0] * n  # strict ancestors over placed arcs
+    dirs = bytearray(len(edges))  # 0 open, 1 = as stored, 2 = reversed
 
     def propagate(i0: int, d0: int) -> bool:
         queue = [(i0, d0)]
-        while True:
+        while queue:
+            recheck = []  # (p, heads q): arcs p -> q whose path sets may hold a dead pair
+            grew = []
             while queue:
                 i, d = queue.pop()
                 if dirs[i]:
@@ -252,23 +275,34 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
                     return False  # arc would close a cycle
                 dirs[i] = d
                 out[a] |= 1 << b
-                rb = reach[b] | 1 << b
-                for x in range(n):
-                    if x == a or reach[x] >> a & 1:
-                        reach[x] |= rb
-            if not shortcut_free():
-                return False
-            for i in range(m):
-                if not dirs[i]:
-                    u, v = edges[i]
-                    if reach[u] >> v & 1:
-                        queue.append((i, 1))
-                    elif reach[v] >> u & 1:
-                        queue.append((i, 2))
-            if not queue:
-                return True
+                if reach[a] >> b & 1:
+                    recheck.append((a, 1 << b))
+                    continue
+                up, down = anc[a] | 1 << a, reach[b] | 1 << b
+                for x in bits(up):
+                    reach[x] |= down
+                for y in bits(down):
+                    anc[y] |= up
+                grew.append((a, b))
+            for a, b in grew:
+                up, down = anc[a] | 1 << a, reach[b] | 1 << b
+                near = 0  # only neighbours of `down` have an arc or edge into it
+                for y in bits(down):
+                    near |= adj[y]
+                for p in bits(up & near):
+                    recheck.append((p, out[p] & down))
+                    for y in bits(adj[p] & down & ~out[p]):
+                        queue.append((eix[(p, y)], 1) if p < y else (eix[(y, p)], 2))
+            for p, hs in recheck:
+                rp = reach[p] | 1 << p
+                for q in bits(hs):
+                    mset = rp & (anc[q] | 1 << q)
+                    for x in bits(mset):
+                        if reach[x] & mset & ~adj[x]:
+                            return False
+        return True
 
-    return _backtrack(g, (out, reach, dirs), propagate)
+    return _backtrack(g, (out, reach, anc, dirs), propagate)
 
 
 def _find_transitive(g: Graph) -> Optional[Orientation]:
@@ -277,7 +311,7 @@ def _find_transitive(g: Graph) -> Optional[Orientation]:
     eix = {e: i for i, e in enumerate(edges)}
     out = [0] * n
     inn = [0] * n
-    dirs = [0] * len(edges)
+    dirs = bytearray(len(edges))
 
     def want(a: int, b: int) -> tuple[int, int]:
         return (eix[(a, b)], 1) if a < b else (eix[(b, a)], 2)
@@ -316,8 +350,30 @@ def _find_transitive(g: Graph) -> Optional[Orientation]:
 
 # ── deciders with certificates ───────────────────────────────────────────
 
-_WR_MEMO: dict[Graph, tuple[bool, Certificate]] = {}
-_COMP_MEMO: dict[Graph, tuple[bool, Certificate]] = {}
+_MEMO_VERTICES = 8192
+
+
+class _Memo(dict):
+    """Decisions by graph value. Once the graphs held pass `_MEMO_VERTICES`
+    vertices in all, the oldest are dropped, so a long run holds bounded
+    memory; a dropped graph is decided again, with the same result, when
+    asked for again."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.vertices = 0
+
+    def keep(self, g: Graph, res: tuple[bool, Certificate]) -> None:
+        self[g] = res
+        self.vertices += g.n
+        while self.vertices > _MEMO_VERTICES:
+            old = next(iter(self))
+            self.vertices -= old.n
+            del self[old]
+
+
+_WR_MEMO = _Memo()
+_COMP_MEMO = _Memo()
 
 
 def _shrink_witness(g: Graph, decide_ok, start: Optional[Iterable[int]] = None) -> tuple[int, ...]:
@@ -347,7 +403,7 @@ def _comp_ok(g: Graph) -> bool:
     return comparability_decide(g)[0]
 
 
-def _decide(g: Graph, memo: dict, find, check, yes: str, no: str, ok) -> tuple[bool, Certificate]:
+def _decide(g: Graph, memo: _Memo, find, check, yes: str, no: str, ok) -> tuple[bool, Certificate]:
     """Search g with `find` and memoize the certified result: the found
     orientation, which must pass `check`, or else a witness shrunk under
     `ok`."""
@@ -358,7 +414,7 @@ def _decide(g: Graph, memo: dict, find, check, yes: str, no: str, ok) -> tuple[b
         res = (True, Certificate(yes, o))
     else:  # pragma: no cover - internal guard
         raise InternalError("search produced an orientation failing its own check")
-    memo[g] = res
+    memo.keep(g, res)
     return res
 
 

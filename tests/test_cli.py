@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordrep import recognition
+import wordrep
+from wordrep import decomposition, recognition
 from wordrep.cli import main
 from wordrep.formats import encode_graph6, parse_graph
 from wordrep.graphs import Orientation, extremal8, path_graph
@@ -381,12 +383,30 @@ def test_verify_rejects_any_single_deleted_arc_or_edge(data):
     assert run(["verify", json.dumps(tampered)])[0] == 1
 
 
+def test_verify_caps_the_lower_bound_search(monkeypatch):
+    # a bound above 2 re-runs the cover search on a witness the document
+    # picks, so that search is capped, and a hit cap exits 3, not 1
+    tampered = doc(cover_document(1))
+    rec = next(r for r in tampered["certificates"] if r["kind"] == "decomposition")
+    rec["lower_bound"] = 3
+    rec["lower_bound_witness"] = list(range(11))
+    code, _, err = run(["verify", json.dumps(tampered)])
+    assert code == 3 and "at most 10 vertices" in err
+    # the first supervertex, a wheel, plus four more: two parts cover it
+    rec["lower_bound_witness"] = list(range(10))
+    code, _, err = run(["verify", json.dumps(tampered)])
+    assert code == 1 and "needs only 2 parts" in err
+    monkeypatch.setattr(decomposition, "_LOWER_BOUND_BUDGET", 1)
+    code, _, err = run(["verify", json.dumps(tampered)])
+    assert code == 3 and "budget exhausted" in err
+
+
 def test_internal_fault_exits_four(monkeypatch):
     # a search returning an orientation its own checker rejects is an
     # internal fault, not a failed verification of the input
     p4 = path_graph(4)
     broken = Orientation.from_arcs(p4, [(0, 1), (1, 2), (2, 3)])
-    monkeypatch.setattr(recognition, "_COMP_MEMO", {})
+    monkeypatch.setattr(recognition, "_COMP_MEMO", recognition._Memo())
     monkeypatch.setattr(recognition, "_find_transitive", lambda g: broken)
     code, out, err = run(["check", "--comparability", encode_graph6(p4)])
     assert code == 4 and out == ""
@@ -411,7 +431,10 @@ def test_documents_are_deterministic():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it, installed or not
+    path = [str(Path(wordrep.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-m", "wordrep", "check", "--wr", "DUW"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["wr"] is True

@@ -172,8 +172,8 @@ def test_refilled_covers_search_no_fill(monkeypatch):
         sizes.append(g.n)
         return find(g)
 
-    monkeypatch.setattr(recognition, "_WR_MEMO", {})
-    monkeypatch.setattr(recognition, "_COMP_MEMO", {})
+    monkeypatch.setattr(recognition, "_WR_MEMO", recognition._Memo())
+    monkeypatch.setattr(recognition, "_COMP_MEMO", recognition._Memo())
     monkeypatch.setattr(recognition, "_find_transitive", counting)
     d = decompose_power_two_comparability(cycle_graph(5), C5_SPLIT, 3)
     assert d.host.n == 125 and d.value == 2

@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from wordrep.errors import InputError
@@ -81,6 +83,35 @@ def test_sparse6_decode_against_networkx():
         s6 = nx.to_sparse6_bytes(nxg, header=False).decode().strip()
         assert decode_sparse6(s6) == g
         assert parse_graph(s6) == g
+
+
+@st.composite
+def graphs(draw, max_n: int = 70) -> Graph:
+    """Graphs on 0..max_n vertices, with up to 3n edges at any density."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return empty_graph(n)
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    return Graph.from_edges(n, pairs)
+
+
+@settings(database=None, deadline=None)
+@given(g=graphs())
+@example(g=cycle_graph(62))
+@example(g=cycle_graph(63))
+@example(g=complete_graph(64))
+def test_graph6_roundtrip_property(g):
+    # n = 63 is where the size field grows from one byte to four
+    assert parse_graph(encode_graph6(g)) == g
+
+
+@settings(database=None, deadline=None)
+@given(g=graphs())
+def test_sparse6_decode_matches_networkx_property(g):
+    nxg = nx.empty_graph(g.n)
+    nxg.add_edges_from(g.edges())
+    assert decode_sparse6(nx.to_sparse6_bytes(nxg, header=False).decode().strip()) == g
 
 
 def test_parse_graph_sniffs_format(c5):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
 
 from conftest import random_graph
@@ -13,6 +14,7 @@ from oracles import (
     semi_transitive_by_paths,
     wr_by_all_orientations,
 )
+from wordrep import recognition
 from wordrep.certificates import (
     NON_COMPARABILITY,
     SEMI_TRANSITIVE,
@@ -254,6 +256,43 @@ def test_wr_decide_matches_brute_force():
             edges = [p for i, p in enumerate(pairs) if bitsn >> i & 1]
             g = Graph.from_edges(n, edges)
             assert wr_decide(g)[0] == wr_by_all_orientations(g)
+
+
+def test_wr_decide_matches_literature_counts():
+    # Kitaev & Lozin, Words and Graphs (2015): of the connected graphs on 6
+    # and 7 vertices exactly 1 (the wheel W5) and 25 are not representable
+    counts = {6: 0, 7: 0}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n in counts and nx.is_connected(h):
+            g = Graph.from_edges(n, list(h.edges()))
+            ok, cert = wr_decide(g)
+            assert verify_certificate(g, cert) == []
+            counts[n] += not ok
+    assert counts == {6: 1, 7: 25}
+
+
+def test_deep_sparse_inputs_decide():
+    g = path_graph(1100)
+    ok, cert = wr_decide(g)
+    assert ok and check_semi_transitive(cert.payload)
+    rng = random.Random(12)
+    for _ in range(4):
+        n = rng.randint(200, 400)
+        tree = Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+        for decide in (wr_decide, comparability_decide):
+            ok, cert = decide(tree)
+            assert ok and verify_certificate(tree, cert) == []
+
+
+def test_memo_keeps_the_newest_graphs(monkeypatch):
+    monkeypatch.setattr(recognition, "_WR_MEMO", recognition._Memo())
+    monkeypatch.setattr(recognition, "_MEMO_VERTICES", 50)
+    for n in range(2, 20):
+        assert wr_decide(path_graph(n))[0]
+    # 17 + 18 + 19 vertices would pass the cap
+    assert list(recognition._WR_MEMO) == [path_graph(18), path_graph(19)]
+    assert recognition._WR_MEMO.vertices == 37
 
 
 def test_comparability_decide_known_graphs(c5, p4, matching):
