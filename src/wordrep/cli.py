@@ -21,8 +21,9 @@ host labels. A "decomposition" record bundles edge-cover parts with their
 orientations plus the certified lower bound and its witness set.
 
 `verify` re-checks every record against the embedded host: orientations and
-words in polynomial time, witness sets by deciding only the (small) induced
-subgraph they name. It never re-derives the host-level answer.
+words in polynomial time, witness sets by deciding only the induced subgraph
+they name, on at most 10 vertices (a larger one exits 3). It never re-derives
+the host-level answer.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 the search
 budget ran out before the answer was known, 4 internal error (a broken

@@ -57,10 +57,13 @@ from .lexops import (
     supervertex_witness,
 )
 from .recognition import (
+    _WITNESS_CAP,
     _cover_search,
     check_transitive,
     comparability_decide,
+    is_comparability,
     is_minimal_non_wr,
+    is_wr,
     mu_exact,
     verify_decomposition,
     wr_decide,
@@ -181,11 +184,11 @@ def decompose_product_two(p: LexProduct) -> Decomposition:
     g1, g2 = p.outer, p.inner
     if g1.edge_count() == 0:
         raise InputError("outer factor needs at least one edge")
-    if not wr_decide(g1)[0] or not wr_decide(g2)[0]:
+    if not is_wr(g1) or not is_wr(g2):
         raise InputError("both factors must be word-representable")
     parts = _cross_and_copies(p, [_wr_orientation(g1)], [_wr_orientation(g2)])
     bound, witness = 1, None
-    if not comparability_decide(g2)[0]:
+    if not is_comparability(g2):
         bound, witness = 2, supervertex_witness(p.structure, g1)
     return Decomposition(p.graph, _parts(parts), "product-two", bound, witness)
 
@@ -194,7 +197,7 @@ def decompose_product_two(p: LexProduct) -> Decomposition:
 
 
 def _refuse_comparability_base(g: Graph) -> None:
-    if comparability_decide(g)[0]:
+    if is_comparability(g):
         raise InputError(
             "base graph is a comparability graph; its powers are "
             "representable outright and need a single part"
@@ -207,7 +210,7 @@ def decompose_power_k(g: Graph, k: int) -> Decomposition:
     cover of g^[t-1] copied into every supervertex."""
     if k < 2:
         raise InputError("power covers start at k = 2")
-    if not wr_decide(g)[0]:
+    if not is_wr(g):
         raise InputError("base graph must be word-representable")
     _refuse_comparability_base(g)
     base = [_wr_orientation(g)]
@@ -268,11 +271,11 @@ def decompose_product_general(
         [_oriented(part, g2.n) for part in d2.parts],
     )
     bound, witness = 1, None
-    if not wr_decide(g2)[0]:
+    if not is_wr(g2):
         bound, witness = 2, tuple(p.structure.supervertex(0))
-    elif g1.edge_count() and not comparability_decide(g2)[0]:
+    elif g1.edge_count() and not is_comparability(g2):
         bound, witness = 2, supervertex_witness(p.structure, g1)
-    elif not wr_decide(g1)[0]:
+    elif not is_wr(g1):
         bound, witness = 2, tuple(p.structure.flat(i, 0) for i in range(g1.n))
     return Decomposition(p.graph, _parts(parts), "product-general", bound, witness)
 
@@ -306,13 +309,13 @@ def decompose_product_tight(
     if k1 >= 2:
         copy = tuple(p.structure.flat(i, 0) for i in range(g1.n))
         if k1 == 2:
-            if not wr_decide(g1)[0]:
+            if not is_wr(g1):
                 bound, witness = 2, copy
         else:
             r = mu_exact(g1)
             if r.status == "exact" and r.value >= 2:
                 bound, witness = min(k1, r.value), copy
-            elif not wr_decide(g1)[0]:
+            elif not is_wr(g1):
                 bound, witness = 2, copy
     return Decomposition(p.graph, _parts(parts), "product-tight", bound, witness)
 
@@ -396,12 +399,8 @@ def decompose_min_nonwr_product(
 
 
 # A lower bound above 2 is checked by re-running the exact cover search on
-# the witness's induced subgraph. The document chooses that subgraph, so the
-# search is capped: a witness of at most this many vertices, and at most this
-# many assignments for each part count below the bound. A graph on at most
-# 10 vertices splits into 4 bipartite, hence representable, parts, so at
-# most three part counts are ever searched.
-_LOWER_BOUND_WITNESS_CAP = 10
+# the witness's induced subgraph, on at most `_WITNESS_CAP` vertices and with
+# at most this many assignments for each part count below the bound.
 _LOWER_BOUND_BUDGET = 1_000
 
 
@@ -410,9 +409,8 @@ def verify_lower_bound(d: Decomposition) -> list[str]:
     holds. A bound of 2 needs a witness set inducing a non-representable
     subgraph. A higher bound b needs a witness on which the cover search
     finds no cover by 2, ..., b - 1 parts; that search raises
-    BudgetExceeded when the witness is larger than
-    `_LOWER_BOUND_WITNESS_CAP` or a part count uses up
-    `_LOWER_BOUND_BUDGET` assignments."""
+    BudgetExceeded when the witness is larger than `_WITNESS_CAP` or a
+    part count uses up `_LOWER_BOUND_BUDGET` assignments."""
     if d.lower_bound <= 1:
         return []
     if d.lower_bound_witness is None:
@@ -420,13 +418,13 @@ def verify_lower_bound(d: Decomposition) -> list[str]:
     vs = d.lower_bound_witness
     if len(set(vs)) != len(vs) or any(not 0 <= v < d.host.n for v in vs):
         return ["witness is not a set of host vertices"]
-    if d.lower_bound > 2 and len(vs) > _LOWER_BOUND_WITNESS_CAP:
+    if d.lower_bound > 2 and len(vs) > _WITNESS_CAP:
         raise BudgetExceeded(
             f"a lower bound above 2 is re-searched only on witnesses of at most "
-            f"{_LOWER_BOUND_WITNESS_CAP} vertices, this one has {len(vs)}"
+            f"{_WITNESS_CAP} vertices, this one has {len(vs)}"
         )
     sub = induced_subgraph(d.host, vs)
-    if wr_decide(sub)[0]:
+    if is_wr(sub):
         return ["witness induces a representable subgraph"]
     for k in range(2, d.lower_bound):
         if _cover_search(sub, k, _LOWER_BOUND_BUDGET) is not None:

@@ -29,7 +29,7 @@ from .certificates import Certificate
 from .errors import InputError, InternalError
 from .graphs import Graph, induced_subgraph
 from .lexops import lex_power, lex_product
-from .recognition import wr_decide
+from .recognition import is_wr, wr_decide
 
 __all__ = [
     "EtaResult",
@@ -94,7 +94,7 @@ def verify_no_wr_subgraph(g: Graph, s: int) -> bool:
     if s < 0:
         raise InputError("subset size must be non-negative")
     return not any(
-        wr_decide(induced_subgraph(g, cand))[0] for cand in combinations(range(g.n), s)
+        is_wr(induced_subgraph(g, cand)) for cand in combinations(range(g.n), s)
     )
 
 
@@ -157,7 +157,7 @@ def verify_power_bound(
     representable. k = 1 reduces to computing eta outright. For k >= 2,
     checks (a) each supervertex of g^[k] induces g^[k-1], and (b) for every
     set of cap+1 supervertices, one-per-supervertex selections induce the
-    matching (cap+1)-subset of g and fail wr_decide — exhaustive over
+    matching (cap+1)-subset of g and fail is_wr — exhaustive over
     supervertex sets, sampled over the choices within them, since the
     induced graph depends only on which supervertices are hit.
     """
@@ -182,7 +182,7 @@ def verify_power_bound(
     selections = 0
     for outer_pick in combinations(range(g.n), cap + 1):
         base = induced_subgraph(g, outer_pick)
-        if wr_decide(base)[0]:
+        if is_wr(base):
             raise InternalError("premise check missed a representable subset")
         for _ in range(samples):
             picks = [head.flat(i, rng.randrange(head.inner_n)) for i in outer_pick]
@@ -191,7 +191,7 @@ def verify_power_bound(
                 raise InternalError(
                     "a one-per-supervertex selection does not project onto the base"
                 )
-            if wr_decide(sub)[0]:
+            if is_wr(sub):
                 raise InternalError("a sampled selection induced a representable graph")
             selections += 1
     return PowerBoundReport(k, cap, cap**k, None, g.n, selections)

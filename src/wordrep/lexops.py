@@ -45,6 +45,8 @@ from .recognition import (
     check_semi_transitive,
     check_transitive,
     comparability_decide,
+    is_comparability,
+    is_wr,
     wr_decide,
 )
 
@@ -278,10 +280,10 @@ def supervertex_witness(st: LexStructure, outer: Graph) -> tuple[int, ...]:
 def product_wr_characterize(g1: Graph, g2: Graph) -> ProductReport:
     if g1.edge_count() == 0:
         raise InputError("outer factor needs at least one edge")
-    if not wr_decide(g1)[0] or not wr_decide(g2)[0]:
+    if not is_wr(g1) or not is_wr(g2):
         raise InputError("both factors must be word-representable")
-    inner_comp = comparability_decide(g2)[0]
-    outer_comp = comparability_decide(g1)[0]
+    inner_comp = is_comparability(g2)
+    outer_comp = is_comparability(g1)
     h_wr = inner_comp
     h_comp = inner_comp and outer_comp
     mu_h = 1 if h_wr else 2
@@ -290,13 +292,13 @@ def product_wr_characterize(g1: Graph, g2: Graph) -> ProductReport:
     witness = None
     if not h_wr:
         witness = supervertex_witness(p.structure, g1)
-        if wr_decide(induced_subgraph(p.graph, witness))[0]:
+        if is_wr(induced_subgraph(p.graph, witness)):
             raise InternalError("supervertex-plus-neighbor witness unexpectedly represents")
 
     direct = p.graph.n <= _DIRECT_LIMIT
     if direct:
-        if wr_decide(p.graph)[0] != h_wr:
+        if is_wr(p.graph) != h_wr:
             raise InternalError("direct representability check contradicts the characterization")
-        if comparability_decide(p.graph)[0] != h_comp:
+        if is_comparability(p.graph) != h_comp:
             raise InternalError("direct comparability check contradicts the characterization")
     return ProductReport(h_wr, h_comp, mu_h, witness, direct)

@@ -13,15 +13,22 @@ The engine rests on three facts:
   some vertex x sees all others then G is representable iff G - x is a
   comparability graph.
 
-Both deciders run one engine, `_backtrack`: an explicit-stack search over
+Both searches run one engine, `_backtrack`: an explicit-stack search over
 the edges in index order, so its depth is bounded by memory rather than by
-the interpreter's recursion limit. Each decider supplies only its partial
+the interpreter's recursion limit. Each search supplies only its partial
 state and a propagator, which places an arc plus every direction it forces
 and rejects dead partial states. The semi-transitive propagator keeps
 ancestor and descendant sets, so after each new arc it rechecks only the
-arcs and open edges that arc can affect. On failure the vertex set is
-shrunk to an inclusion-minimal induced subgraph that still fails. Results
-are memoized by graph value, up to a fixed total of vertices.
+arcs and open edges that arc can affect.
+
+Each property has a predicate (`is_wr`, `is_comparability`) that returns
+the verdict alone, and a decider (`wr_decide`, `comparability_decide`) that
+adds a certificate. Both keep the orientation a successful search finds. A
+failing graph is shrunk to an inclusion-minimal induced subgraph that still
+fails only when a decider asks for that certificate, and the shrink decides
+its candidates with the predicate. Results are memoized by graph value, up
+to a fixed total of vertices, and a witness found later is added to the
+graph's entry in place.
 """
 
 from __future__ import annotations
@@ -348,24 +355,26 @@ def _find_transitive(g: Graph) -> Optional[Orientation]:
     return _backtrack(g, (out, inn, dirs), propagate)
 
 
-# ── deciders with certificates ───────────────────────────────────────────
+# ── deciders ─────────────────────────────────────────────────────────────
 
 _MEMO_VERTICES = 8192
 
 
 class _Memo(dict):
-    """Decisions by graph value. Once the graphs held pass `_MEMO_VERTICES`
-    vertices in all, the oldest are dropped, so a long run holds bounded
-    memory; a dropped graph is decided again, with the same result, when
-    asked for again."""
+    """Decisions by graph value: (True, orientation certificate), (False,
+    witness certificate), or (False, None) while no witness has been asked
+    for. Once the graphs held pass `_MEMO_VERTICES` vertices in all, the
+    oldest are dropped, so a long run holds bounded memory; a dropped graph
+    is decided again, with the same result, when asked for again."""
 
     def __init__(self) -> None:
         super().__init__()
         self.vertices = 0
 
-    def keep(self, g: Graph, res: tuple[bool, Certificate]) -> None:
+    def keep(self, g: Graph, res: tuple[bool, Optional[Certificate]]) -> None:
+        if g not in self:  # a held graph only gains its witness
+            self.vertices += g.n
         self[g] = res
-        self.vertices += g.n
         while self.vertices > _MEMO_VERTICES:
             old = next(iter(self))
             self.vertices -= old.n
@@ -395,27 +404,33 @@ def _shrink_witness(g: Graph, decide_ok, start: Optional[Iterable[int]] = None) 
     return tuple(current)
 
 
-def _wr_ok(g: Graph) -> bool:
-    return wr_decide(g)[0]
-
-
-def _comp_ok(g: Graph) -> bool:
-    return comparability_decide(g)[0]
-
-
-def _decide(g: Graph, memo: _Memo, find, check, yes: str, no: str, ok) -> tuple[bool, Certificate]:
-    """Search g with `find` and memoize the certified result: the found
-    orientation, which must pass `check`, or else a witness shrunk under
-    `ok`."""
-    o = find(g)
-    if o is None:
-        res = (False, Certificate(no, _shrink_witness(g, ok)))
-    elif check(o):
-        res = (True, Certificate(yes, o))
-    else:  # pragma: no cover - internal guard
-        raise InternalError("search produced an orientation failing its own check")
-    memo.keep(g, res)
+def _decided(g: Graph, memo: _Memo, find, check, yes: str) -> tuple[bool, Optional[Certificate]]:
+    """g's decision from `memo`, or else from a search with `find`, whose
+    orientation must pass `check`. A failing graph is stored without a
+    witness."""
+    res = memo.get(g)
+    if res is None:
+        o = find(g)
+        if o is None:
+            res = (False, None)
+        elif check(o):
+            res = (True, Certificate(yes, o))
+        else:  # pragma: no cover - internal guard
+            raise InternalError("search produced an orientation failing its own check")
+        memo.keep(g, res)
     return res
+
+
+def is_wr(g: Graph) -> bool:
+    """True iff g is word-representable. Runs the same search as
+    `wr_decide` but shrinks no witness on failure."""
+    return _decided(g, _WR_MEMO, _find_semi_transitive, check_semi_transitive, SEMI_TRANSITIVE)[0]
+
+
+def is_comparability(g: Graph) -> bool:
+    """True iff g admits a transitive orientation. Runs the same search as
+    `comparability_decide` but shrinks no witness on failure."""
+    return _decided(g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE)[0]
 
 
 def wr_decide(g: Graph) -> tuple[bool, Certificate]:
@@ -424,21 +439,27 @@ def wr_decide(g: Graph) -> tuple[bool, Certificate]:
     Returns (True, semi-transitive orientation) or (False, inclusion-minimal
     vertex set whose induced subgraph is non-representable). Worst case is
     exponential in the edge count; fine for the graph sizes the rest of the
-    package feeds it (factors, supervertex samples, witnesses).
+    package feeds it (factors, supervertex samples, witnesses). Callers
+    that need only the verdict use `is_wr`, which skips the shrinking.
     """
-    return _WR_MEMO.get(g) or _decide(
-        g, _WR_MEMO, _find_semi_transitive, check_semi_transitive, SEMI_TRANSITIVE, WITNESS, _wr_ok
-    )
+    res = _decided(g, _WR_MEMO, _find_semi_transitive, check_semi_transitive, SEMI_TRANSITIVE)
+    if res[1] is None:
+        res = (False, Certificate(WITNESS, _shrink_witness(g, is_wr)))
+        _WR_MEMO.keep(g, res)
+    return res
 
 
 def comparability_decide(g: Graph) -> tuple[bool, Certificate]:
     """Decide whether g admits a transitive orientation.
 
     Returns (True, transitive orientation) or (False, inclusion-minimal
-    vertex set inducing a non-comparability subgraph)."""
-    return _COMP_MEMO.get(g) or _decide(
-        g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE, NON_COMPARABILITY, _comp_ok
-    )
+    vertex set inducing a non-comparability subgraph). Callers that need
+    only the verdict use `is_comparability`."""
+    res = _decided(g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE)
+    if res[1] is None:
+        res = (False, Certificate(NON_COMPARABILITY, _shrink_witness(g, is_comparability)))
+        _COMP_MEMO.keep(g, res)
+    return res
 
 
 def wr_with_dominating_vertex(g: Graph, x: int) -> tuple[bool, Certificate]:
@@ -460,17 +481,17 @@ def wr_with_dominating_vertex(g: Graph, x: int) -> tuple[bool, Certificate]:
         arcs += [(rest[a], rest[b]) for a, b in cert.payload.arcs()]
         return True, Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(g, arcs))
     inner = [rest[v] for v in cert.payload]
-    witness = _shrink_witness(g, _wr_ok, start=inner + [x])
+    witness = _shrink_witness(g, is_wr, start=inner + [x])
     return False, Certificate(WITNESS, witness)
 
 
 def is_minimal_non_wr(g: Graph) -> bool:
     """True iff g is not word-representable but every single-vertex-deleted
     induced subgraph is."""
-    if _wr_ok(g):
+    if is_wr(g):
         return False
     return all(
-        _wr_ok(induced_subgraph(g, [v for v in range(g.n) if v != x]))
+        is_wr(induced_subgraph(g, [v for v in range(g.n) if v != x]))
         for x in range(g.n)
     )
 
@@ -546,8 +567,7 @@ def find_word(g: Graph) -> Optional[tuple[int, ...]]:
     """A uniform word representing g, built by `word_from_orientation` from
     the semi-transitive orientation `wr_decide` finds; None exactly when g
     is not word-representable."""
-    ok, cert = wr_decide(g)
-    return word_from_orientation(cert.payload) if ok else None
+    return word_from_orientation(wr_decide(g)[1].payload) if is_wr(g) else None
 
 
 # ── cover number over representable parts ────────────────────────────────
@@ -577,7 +597,7 @@ def _cover_search(g: Graph, k: int, limit: Optional[int]) -> Optional[list[froze
     def prefix_ok(top: int) -> bool:
         for p in range(k):
             rows = tuple(padj[p][w] for w in range(top + 1))
-            if any(rows) and not _wr_ok(Graph(top + 1, rows)):
+            if any(rows) and not is_wr(Graph(top + 1, rows)):
                 return False
         return True
 
@@ -628,9 +648,8 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
     the budget downgrades any later answer to an upper bound; if the budget
     kills every level before a cover shows up the result is unknown.
     """
-    ok, cert = wr_decide(g)
-    if ok:
-        return MuResult(1, (Part(frozenset(g.edges()), cert),), True, "exact")
+    if is_wr(g):
+        return MuResult(1, (Part(frozenset(g.edges()), wr_decide(g)[1]),), True, "exact")
     all_exhausted = True
     top = max(2, g.edge_count())
     for k in range(2, top + 1):
@@ -651,9 +670,19 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
 # ── certificate verification (no search re-run) ──────────────────────────
 
 
+# A witness is checked by deciding the subgraph it induces, and a lower bound
+# above 2 by re-running the exact cover search on its witness. The document
+# chooses those subgraphs, so both are capped at this many vertices; a larger
+# one raises BudgetExceeded. A graph on at most 10 vertices splits into 4
+# bipartite, hence representable, parts, so the cover search then tries at
+# most three part counts.
+_WITNESS_CAP = 10
+
+
 def verify_certificate(g: Graph, cert: Certificate) -> list[str]:
     """Check one certificate against the graph it claims to describe.
-    Returns diagnostics; empty means it verifies."""
+    Returns diagnostics; empty means it verifies. Raises BudgetExceeded on a
+    witness of more than `_WITNESS_CAP` vertices."""
     try:
         if cert.kind in (SEMI_TRANSITIVE, TRANSITIVE):
             o = cert.payload
@@ -671,10 +700,15 @@ def verify_certificate(g: Graph, cert: Certificate) -> list[str]:
             vs = cert.payload
             if len(set(vs)) != len(vs) or any(not 0 <= v < g.n for v in vs):
                 return ["witness vertex set is not a set of host vertices"]
+            if len(vs) > _WITNESS_CAP:
+                raise BudgetExceeded(
+                    f"a witness is re-decided only on at most {_WITNESS_CAP} vertices, "
+                    f"this one has {len(vs)}"
+                )
             sub = induced_subgraph(g, vs)
-            if cert.kind == WITNESS and _wr_ok(sub):
+            if cert.kind == WITNESS and is_wr(sub):
                 return ["witness set induces a representable subgraph"]
-            if cert.kind == NON_COMPARABILITY and _comp_ok(sub):
+            if cert.kind == NON_COMPARABILITY and is_comparability(sub):
                 return ["witness set induces a comparability subgraph"]
     except InputError as e:
         return [f"malformed certificate: {e}"]

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import wordrep
 from wordrep import decomposition, recognition
 from wordrep.cli import main
+from wordrep.errors import InputError
 from wordrep.formats import encode_graph6, parse_graph
-from wordrep.graphs import Orientation, extremal8, path_graph
+from wordrep.graphs import Orientation, cycle_graph, extremal8, path_graph
 from wordrep.recognition import word_represents
 
 H8 = "G|fJH{"
@@ -399,6 +400,65 @@ def test_verify_caps_the_lower_bound_search(monkeypatch):
     monkeypatch.setattr(decomposition, "_LOWER_BOUND_BUDGET", 1)
     code, _, err = run(["verify", json.dumps(tampered)])
     assert code == 3 and "budget exhausted" in err
+
+
+def test_verify_caps_witness_records():
+    # a witness record names the subgraph verify decides, so its size is
+    # capped like a lower-bound witness's
+    bogus = {
+        "schema_version": "1",
+        "host": encode_graph6(path_graph(12)),
+        "command": "check --wr",
+        "result": {"wr": False},
+        "certificates": [{"kind": "non-representable-witness", "vertices": list(range(11))}],
+        "timing": 0,
+    }
+    code, _, err = run(["verify", json.dumps(bogus)])
+    assert code == 3 and "at most 10 vertices" in err
+    bogus["certificates"][0]["vertices"] = list(range(5))
+    code, _, err = run(["verify", json.dumps(bogus)])
+    assert code == 1 and "representable subgraph" in err
+    # a true witness over the cap is not decided either: C11 is a minimal
+    # non-comparability graph, so its witness is all 11 vertices
+    code, out, _ = run(["check", "--comparability", encode_graph6(cycle_graph(11))])
+    assert code == 0 and len(doc(out)["result"]["witness"]) == 11
+    code, _, err = run(["verify", "-"], stdin=out)
+    assert code == 3 and "budget exhausted" in err
+
+
+WORD_HOSTS = ("DUW", C5, "C~", "HAjvABL")
+
+
+@functools.lru_cache(maxsize=None)
+def word_document(i: int) -> str:
+    code, out, _ = run(["check", "--wr", WORD_HOSTS[i]])
+    assert code == 0
+    return out
+
+
+@settings(database=None, deadline=None)
+@given(data=st.data())
+def test_verify_accepts_a_tampered_word_exactly_when_it_represents(data):
+    # some single-letter edits still represent the host, so the expected
+    # verdict comes from the trusted checker
+    tampered = doc(word_document(data.draw(st.integers(0, len(WORD_HOSTS) - 1))))
+    host = parse_graph(tampered["host"])
+    letters = next(r for r in tampered["certificates"] if r["kind"] == "word")["letters"]
+    edit = data.draw(st.sampled_from(["change", "insert", "delete"]))
+    at = data.draw(st.integers(0, len(letters) - (edit != "insert")))
+    if edit == "delete":
+        del letters[at]
+    else:
+        letter = data.draw(st.integers(0, host.n - 1))
+        if edit == "change":
+            letters[at] = letter
+        else:
+            letters.insert(at, letter)
+    try:
+        valid = word_represents(letters, host)
+    except InputError:  # a deleted letter's last copy
+        valid = False
+    assert run(["verify", json.dumps(tampered)])[0] == (0 if valid else 1)
 
 
 def test_internal_fault_exits_four(monkeypatch):

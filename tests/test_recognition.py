@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -24,6 +25,8 @@ from wordrep.certificates import (
     Part,
 )
 from wordrep.errors import InputError
+from wordrep.extremal import _all_labeled_graphs
+from wordrep.formats import decode_graph6
 from wordrep.graphs import (
     Graph,
     Orientation,
@@ -41,7 +44,9 @@ from wordrep.recognition import (
     comparability_decide,
     find_word,
     graph_of_word,
+    is_comparability,
     is_minimal_non_wr,
+    is_wr,
     mu_exact,
     mu_verify,
     verify_certificate,
@@ -51,6 +56,8 @@ from wordrep.recognition import (
     wr_decide,
     wr_with_dominating_vertex,
 )
+
+CORPUS6 = Path(__file__).parent / "data" / "graphs6.g6"
 
 # ── words ────────────────────────────────────────────────────────────────
 
@@ -293,6 +300,60 @@ def test_memo_keeps_the_newest_graphs(monkeypatch):
     # 17 + 18 + 19 vertices would pass the cap
     assert list(recognition._WR_MEMO) == [path_graph(18), path_graph(19)]
     assert recognition._WR_MEMO.vertices == 37
+    # a verdict-only entry that later gets its witness is updated in place,
+    # not counted again
+    memo = recognition._Memo()
+    monkeypatch.setattr(recognition, "_WR_MEMO", memo)
+    w5 = wheel_graph(5)
+    assert is_minimal_non_wr(w5)  # holds W5 and its one-vertex deletions
+    assert memo[w5] == (False, None)
+    held, before = list(memo), memo.vertices
+    ok, cert = wr_decide(w5)
+    assert not ok and cert.payload == tuple(range(6))
+    assert list(memo) == held and memo.vertices == before == sum(g.n for g in held)
+    assert memo[w5] == (False, cert)
+
+
+def _fresh_memos(monkeypatch) -> None:
+    monkeypatch.setattr(recognition, "_WR_MEMO", recognition._Memo())
+    monkeypatch.setattr(recognition, "_COMP_MEMO", recognition._Memo())
+
+
+def test_predicates_match_deciders(monkeypatch):
+    corpus = [g for n in range(7) for g in _all_labeled_graphs(n)]
+    corpus += [decode_graph6(line) for line in CORPUS6.read_text().split()]
+    _fresh_memos(monkeypatch)
+    verdicts = [(is_wr(g), is_comparability(g)) for g in corpus]
+    # the deciders start from empty memos too, so they read no predicate entry
+    _fresh_memos(monkeypatch)
+    assert verdicts == [(wr_decide(g)[0], comparability_decide(g)[0]) for g in corpus]
+
+
+def _planted_w5(rng: random.Random, n: int) -> Graph:
+    """W5 on vertices 0..5 plus random edges at the other pairs."""
+    extra = [(u, v) for u in range(n) for v in range(max(u + 1, 6), n) if rng.random() < 0.5]
+    return Graph.from_edges(n, wheel_graph(5).edges() + extra)
+
+
+def test_verdict_only_callers_shrink_no_witness(monkeypatch, w5):
+    shrunk = []
+    real = recognition._shrink_witness
+
+    def counting(g, *args, **kwargs):
+        shrunk.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(recognition, "_shrink_witness", counting)
+    planted = _planted_w5(random.Random(3), 10)
+    _fresh_memos(monkeypatch)
+    assert mu_exact(w5).value == 2
+    _fresh_memos(monkeypatch)
+    assert not is_minimal_non_wr(planted)
+    assert shrunk == []
+    # a certificate asked for is shrunk once, deciding its candidates
+    # without shrinking them in turn
+    assert not wr_decide(planted)[0]
+    assert shrunk == [planted]
 
 
 def test_comparability_decide_known_graphs(c5, p4, matching):
