@@ -27,13 +27,16 @@ the host-level answer.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 the search
 budget ran out before the answer was known, 4 internal error (a broken
-invariant or an exhausted interpreter limit, never a verdict on the input).
+invariant or an exhausted interpreter limit, never a verdict on the input),
+141 (128 + SIGPIPE) the reader closed standard output before the document
+was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -577,7 +580,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows up here
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush does not
+        # raise again (the SIGPIPE note in Python's `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

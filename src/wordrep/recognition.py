@@ -11,7 +11,9 @@ The engine rests on three facts:
 * Transitive orientations are the shortcut-free orientations in which every
   reachable pair is an arc, so comparability graphs are a subclass, and if
   some vertex x sees all others then G is representable iff G - x is a
-  comparability graph.
+  comparability graph. By heredity, then, every vertex's neighbourhood in a
+  representable graph induces a comparability graph, and the semi-transitive
+  search refuses a graph where one does not before it orients any edge.
 
 Both searches run one engine, `_backtrack`: an explicit-stack search over
 the edges in index order, so its depth is bounded by memory rather than by
@@ -256,8 +258,21 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
     when rechecking every arc would, and the forced edges found are all of
     them. Forced arcs add no reachability, so the state after a round does
     not depend on the order they are queued in.
+
+    Before any search, g is refused when some vertex x has a neighbourhood
+    N(x) that is not a comparability graph (Kitaev & Pyatkin, J. Autom.
+    Lang. Comb. 13, 2008): if g is representable, so is G[N[x]] by
+    heredity, and x dominates it, so G[N(x)] must be a comparability graph.
+    Neighbourhoods of at most 4 vertices or without an edge are skipped:
+    every graph on at most 4 vertices is a comparability graph, and so is
+    every edgeless one.
     """
     n, adj = g.n, g.adj
+    for x in range(n):
+        nb = adj[x]
+        if nb.bit_count() > 4 and any(adj[y] & nb for y in bits(nb)):
+            if not is_comparability(induced_subgraph(g, bits(nb))):
+                return None
     edges = g.edges()
     eix = {e: i for i, e in enumerate(edges)}
     out = [0] * n

@@ -490,11 +490,44 @@ def test_documents_are_deterministic():
     assert da == db
 
 
-def test_module_entry_point():
-    # the child finds the package where this process found it, installed or not
+def child_env() -> dict:
+    """An environment in which a fresh interpreter finds the package where
+    this process found it, installed or not."""
     path = [str(Path(wordrep.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-m", "wordrep", "check", "--wr", "DUW"],
-                          capture_output=True, text=True, env=env)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def child(argv: list[str], stdin: str | None = None) -> subprocess.CompletedProcess:
+    """Run `python -m wordrep` in a fresh interpreter, capturing its text."""
+    return subprocess.run([sys.executable, "-m", "wordrep", *argv], input=stdin, env=child_env(),
+                          capture_output=True, text=True, timeout=30)
+
+
+def test_module_entry_point():
+    proc = child(["check", "--wr", "DUW"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["wr"] is True
+
+
+def test_check_wr_decides_the_64_vertex_power():
+    power = child(["lex", "power", H8, "--k", "2", "--format", "g6"])
+    assert power.returncode == 0
+    proc = child(["check", "--wr", "-"], stdin=power.stdout)
+    assert proc.returncode == 0
+    d = doc(proc.stdout)
+    assert d["host"] == power.stdout.strip() and d["result"]["wr"] is False
+    assert len(d["result"]["witness"]) <= 10
+    assert child(["verify", "-"], stdin=proc.stdout).returncode == 0
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader is gone before the child writes, like `... | head -c 0`
+    proc = subprocess.Popen([sys.executable, "-m", "wordrep", "mu", C5, "--constructive", "power", "--k", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env())
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == ""

@@ -356,6 +356,42 @@ def test_verdict_only_callers_shrink_no_witness(monkeypatch, w5):
     assert shrunk == [planted]
 
 
+def test_neighbourhood_rule_keeps_every_verdict(monkeypatch):
+    rng = random.Random(20261018)
+    corpus = [g for n in range(7) for g in _all_labeled_graphs(n)]
+    corpus += [decode_graph6(line) for line in CORPUS6.read_text().split()]
+    corpus += [random_graph(rng, n, p) for n in range(7, 13) for p in (0.3, 0.5, 0.7) for _ in range(10)]
+    _fresh_memos(monkeypatch)
+    verdicts = [is_wr(g) for g in corpus]
+    assert 0 < sum(verdicts) < len(corpus)
+    # with every neighbourhood passing, only the orientation search refuses
+    monkeypatch.setattr(recognition, "is_comparability", lambda g: True)
+    _fresh_memos(monkeypatch)
+    assert verdicts == [is_wr(g) for g in corpus]
+
+
+def test_graphs_on_four_vertices_are_comparability():
+    # why `_find_semi_transitive` skips neighbourhoods this small
+    assert all(comparability_by_all_orientations(g) for n in range(5) for g in _all_labeled_graphs(n))
+
+
+def test_neighbourhood_rule_refuses_before_searching(monkeypatch):
+    searches = []
+    real = recognition._backtrack
+
+    def counting(g, state, propagate):
+        searches.append(propagate.__qualname__.split(".")[0])
+        return real(g, state, propagate)
+
+    monkeypatch.setattr(recognition, "_backtrack", counting)
+    _fresh_memos(monkeypatch)
+    # the hub's neighbourhood holds the rim C5, which no transitive
+    # orientation has
+    assert not is_wr(_planted_w5(random.Random(3), 10))
+    assert "_find_semi_transitive" not in searches
+    assert "_find_transitive" in searches
+
+
 def test_comparability_decide_known_graphs(c5, p4, matching):
     assert comparability_decide(p4)[0]
     assert comparability_decide(cycle_graph(4))[0]
