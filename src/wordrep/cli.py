@@ -137,11 +137,6 @@ def _parse_edge_classes(
     return classes
 
 
-def _json_only(args: argparse.Namespace) -> None:
-    if args.format != "json":
-        raise InputError("--format g6/dot applies to lex output; this command emits JSON")
-
-
 # ── document emission ─────────────────────────────────────────────────────
 
 
@@ -254,7 +249,6 @@ def _check_record(host: Graph, rec: dict) -> list[str]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _json_only(args)
     g = _read_graph(args.input)
     t0 = time.perf_counter()
     recs: list[dict] = []
@@ -305,7 +299,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
-    _json_only(args)
     graphs = [_read_graph(s) for s in args.inputs]
     t0 = time.perf_counter()
     if args.constructive:
@@ -348,12 +341,12 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
         if name == "product-two":
             d = decompose_product_two(p)
         elif name == "product-general":
-            d1 = as_decomposition(graphs[0], mu_exact(graphs[0], budget=args.budget))
-            d2 = as_decomposition(graphs[1], mu_exact(graphs[1], budget=args.budget))
+            d1 = _factor_cover(graphs[0], args.budget)
+            d2 = _factor_cover(graphs[1], args.budget)
             d = decompose_product_general(p, d1, d2)
         elif name == "product-tight":
             classes = _parse_edge_classes(args.split, "--split")
-            d1 = as_decomposition(graphs[0], mu_exact(graphs[0], budget=args.budget))
+            d1 = _factor_cover(graphs[0], args.budget)
             d = decompose_product_tight(p, d1, classes)
         else:
             d = decompose_min_nonwr_product(p, r=args.root)
@@ -374,6 +367,15 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
     }
     _emit(_document(d.host, label, result, [_decomposition_record(d)], t0))
     return 0
+
+
+def _factor_cover(g: Graph, budget: Optional[int]) -> Decomposition:
+    r = mu_exact(g, budget=budget)
+    if r.status == "unknown":
+        raise BudgetExceeded(
+            f"cover search on factor {encode_graph6(g)} ran out before finding a cover"
+        )
+    return as_decomposition(g, r)
 
 
 def cmd_lex(args: argparse.Namespace) -> int:
@@ -427,7 +429,6 @@ def cmd_lex(args: argparse.Namespace) -> int:
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
-    _json_only(args)
     g = _read_graph(args.input)
     t0 = time.perf_counter()
     r = eta(g, blockers=args.blockers)
@@ -442,24 +443,21 @@ def cmd_eta(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    _json_only(args)
     g = _read_graph(args.input)
     t0 = time.perf_counter()
-    rep = verify_power_bound(g, args.k, args.cap, seed=args.seed, samples=args.samples)
+    rep = verify_power_bound(g, args.k, args.cap)
     result = {
         "k": rep.k,
         "cap": rep.cap,
         "bound": rep.bound,
         "eta_base": rep.eta_base,
         "supervertices_checked": rep.supervertices_checked,
-        "selections_checked": rep.selections_checked,
     }
     _emit(_document(g, "bound", result, [], t0))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _json_only(args)
     text = _read_text(args.input)
     try:
         doc = json.loads(text)
@@ -495,14 +493,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=None, metavar="NODES",
-                        help="search-node budget for the exact cover search")
-    common.add_argument("--seed", type=int, default=0, metavar="U64",
-                        help="seed for sampled checks (bound command)")
-    common.add_argument("--format", choices=("json", "g6", "dot"), default="json",
-                        help="output format; g6 and dot apply to lex")
-
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Certified recognition, covers, and lexicographic "
@@ -511,8 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="decide a property and emit certificates")
+    p = sub.add_parser("check", help="decide a property and emit certificates")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--wr", action="store_true",
                      help="word-representability (the default)")
@@ -523,8 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("mu", parents=[common],
-                       help="cover number: exact search or a verified construction")
+    p = sub.add_parser("mu", help="cover number: exact search or a verified construction")
     p.add_argument("inputs", nargs="+",
                    help="one graph, or two factors for product constructions")
     p.add_argument("--constructive", choices=_CONSTRUCTIONS, default=None,
@@ -534,10 +522,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comparability edge classes, e.g. [[[0,1]],[[1,2]]]")
     p.add_argument("--root", type=int, default=0,
                    help="outer vertex whose block anchors the min-product cover")
+    p.add_argument("--budget", type=int, default=None, metavar="NODES",
+                   help="search-node budget for the exact cover search")
     p.set_defaults(func=cmd_mu)
 
-    p = sub.add_parser("lex", parents=[common],
-                       help="construct a composition, power, map, or refilled map")
+    p = sub.add_parser("lex", help="construct a composition, power, map, or refilled map")
     p.add_argument("op", choices=("product", "power", "map", "special"))
     p.add_argument("inputs", nargs="+")
     p.add_argument("--k", type=int, default=2, help="power exponent (k >= 1)")
@@ -547,27 +536,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="per-supervertex inner edge lists for special")
     p.add_argument("--sidecar", default=None, metavar="PATH",
                    help="also write the structure JSON to this file")
+    p.add_argument("--format", choices=("json", "g6", "dot"), default="json",
+                   help="output format")
     p.set_defaults(func=cmd_lex)
 
-    p = sub.add_parser("eta", parents=[common],
-                       help="maximum representable-set size with witness")
+    p = sub.add_parser("eta", help="maximum representable-set size with witness")
     p.add_argument("input")
     p.add_argument("--blockers", action="store_true",
                    help="also list every just-too-large subset")
     p.set_defaults(func=cmd_eta)
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="check the power construction's representable-set cap")
+    p = sub.add_parser("bound", help="check the power construction's representable-set cap")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True, help="power exponent")
     p.add_argument("--cap", type=int, required=True,
                    help="claimed representable-set cap of the base graph")
-    p.add_argument("--samples", type=int, default=50,
-                   help="seeded vertex selections per supervertex combination")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="re-check a certificate document without re-running search")
+    p = sub.add_parser("verify", help="re-check a certificate document without re-running search")
     p.add_argument("input", help="document JSON: path, literal, or - for stdin")
     p.set_defaults(func=cmd_verify)
     return parser

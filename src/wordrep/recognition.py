@@ -454,7 +454,7 @@ def wr_decide(g: Graph) -> tuple[bool, Certificate]:
     Returns (True, semi-transitive orientation) or (False, inclusion-minimal
     vertex set whose induced subgraph is non-representable). Worst case is
     exponential in the edge count; fine for the graph sizes the rest of the
-    package feeds it (factors, supervertex samples, witnesses). Callers
+    package feeds it (factors, supervertices, witnesses). Callers
     that need only the verdict use `is_wr`, which skips the shrinking.
     """
     res = _decided(g, _WR_MEMO, _find_semi_transitive, check_semi_transitive, SEMI_TRANSITIVE)
@@ -616,43 +616,47 @@ def _cover_search(g: Graph, k: int, limit: Optional[int]) -> Optional[list[froze
                 return False
         return True
 
-    def dfs(i: int, used: int) -> bool:
-        nonlocal nodes
-        if i == m:
-            return True
+    def flip(i: int, s: int) -> None:
+        # edge i is set in no part before its own assignment, so xor sets
+        # it in the parts of s and the same call undoes that
         u, v = edges[i]
-        for s in subsets:
-            nodes += 1
-            if limit is not None and nodes > limit:
-                raise BudgetExceeded(f"cover search passed {limit} assignments at k={k}")
-            fresh = s >> used
-            if fresh and fresh != (1 << fresh.bit_count()) - 1:
-                continue  # parts must be opened in consecutive order
-            for p in bits(s):
-                padj[p][u] |= 1 << v
-                padj[p][v] |= 1 << u
-            nused = max(used, s.bit_length())
-            if (not last_at_level[i] or prefix_ok(v)) and dfs(i + 1, nused):
-                return True
-            for p in bits(s):
-                padj[p][u] &= ~(1 << v)
-                padj[p][v] &= ~(1 << u)
-        return False
+        for p in bits(s):
+            padj[p][u] ^= 1 << v
+            padj[p][v] ^= 1 << u
 
-    if dfs(0, 0):
-        covers = []
-        for p in range(k):
-            rows = padj[p]
-            covers.append(
-                frozenset(
-                    (u, v)
-                    for u in range(n)
-                    for v in bits(rows[u])
-                    if u < v
-                )
-            )
-        return covers
-    return None
+    # Depth-first over the edges with an explicit stack, since a frame per
+    # edge overflows the interpreter's recursion limit on long sparse
+    # graphs. tried[i] counts the subsets tried at edge i; while a later
+    # edge is open, edge i holds subsets[tried[i] - 1].
+    tried = [0] * m
+    used = [0] * (m + 1)
+    i = 0
+    while i < m:
+        if tried[i] == len(subsets):
+            tried[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+            flip(i, subsets[tried[i] - 1])
+            continue
+        s = subsets[tried[i]]
+        tried[i] += 1
+        nodes += 1
+        if limit is not None and nodes > limit:
+            raise BudgetExceeded(f"cover search passed {limit} assignments at k={k}")
+        fresh = s >> used[i]
+        if fresh and fresh != (1 << fresh.bit_count()) - 1:
+            continue  # parts must be opened in consecutive order
+        flip(i, s)
+        if not last_at_level[i] or prefix_ok(edges[i][1]):
+            used[i + 1] = max(used[i], s.bit_length())
+            i += 1
+        else:
+            flip(i, s)
+    return [
+        frozenset((u, v) for u in range(n) for v in bits(padj[p][u]) if u < v)
+        for p in range(k)
+    ]
 
 
 def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:

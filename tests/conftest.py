@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from wordrep.graphs import (
     path_graph,
     wheel_graph,
 )
+from wordrep.lexops import LexProduct, lex_product
 
 # Hypothesis caches what it reads from the source files on disk, even with
 # its example database off; keep that cache out of the working tree.
@@ -63,3 +65,15 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def lex_product_missing_a_cross_edge(g1: Graph, g2: Graph) -> LexProduct:
+    """lex_product with one cross edge left out: for the first edge (i, j)
+    of g1, the second vertex of block i loses its edge to the first vertex
+    of block j. Every other pair of vertices keeps its adjacency."""
+    p = lex_product(g1, g2)
+    st = p.structure
+    i, j = g1.edges()[0]
+    dropped = (st.flat(i, 1), st.flat(j, 0))
+    edges = [e for e in p.graph.edges() if e != dropped]
+    return replace(p, graph=Graph.from_edges(st.n, edges))

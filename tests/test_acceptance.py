@@ -8,8 +8,9 @@ import random
 import time
 from itertools import combinations
 
-from conftest import random_graph
+from conftest import lex_product_missing_a_cross_edge, random_graph
 from oracles import graph_by_restriction, semi_transitive_by_paths
+from wordrep import extremal
 from wordrep.certificates import TRANSITIVE
 from wordrep.decomposition import (
     as_decomposition,
@@ -20,6 +21,7 @@ from wordrep.decomposition import (
     decompose_product_tight,
     verify_lower_bound,
 )
+from wordrep.errors import InternalError
 from wordrep.extremal import (
     eta,
     tau_exhaustive,
@@ -153,13 +155,18 @@ def test_criterion_06_minimal_factor_covers():
             time.perf_counter() - t0, 60.0)
 
 
-def test_criterion_07_power_bound_structure():
+def test_criterion_07_power_bound_structure(monkeypatch):
     t0 = time.perf_counter()
-    rep = verify_power_bound(extremal8(), 2, 6, seed=0, samples=50)
-    ok = rep.bound == 36
-    ok = ok and rep.supervertices_checked == 8
-    ok = ok and rep.selections_checked == 400
-    _report(7, ok, "one-per-supervertex selections fail across 8 sets x 50 samples",
+    rep = verify_power_bound(extremal8(), 2, 6)
+    ok = rep.bound == 36 and rep.supervertices_checked == 8
+    # one missing cross edge breaks the block structure the bound rests on
+    monkeypatch.setattr(extremal, "lex_product", lex_product_missing_a_cross_edge)
+    try:
+        verify_power_bound(extremal8(), 2, 6)
+        ok = False
+    except InternalError:
+        pass
+    _report(7, ok, "8 supervertices are modules over the base; a dropped cross edge is refused",
             time.perf_counter() - t0, 600.0)
 
 

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,13 @@ def test_mu_budget_runs_out():
     assert doc(out)["result"] == {"mu": None, "status": "unknown"}
 
 
+def test_factor_cover_out_of_budget_exits_three():
+    # the search on the wheel factor stops before it finds a cover
+    for form in (["product-general"], ["product-tight", "--split", SPLIT_C5]):
+        code, _, err = run(["mu", W5, C5, "--constructive", *form, "--budget", "1"])
+        assert code == 3 and "budget exhausted" in err, form
+
+
 def test_mu_constructive_power():
     code, out, _ = run(["mu", C5, "--constructive", "power", "--k", "2"])
     assert code == 0
@@ -285,15 +293,37 @@ def test_bound_command_and_seeding():
     code, out, _ = run(["bound", H8, "--k", "2", "--cap", "6"])
     assert code == 0
     d = doc(out)
-    assert d["result"]["bound"] == 36
-    assert d["result"]["supervertices_checked"] == 8
-    assert d["result"]["selections_checked"] == 400
+    assert d["result"] == {
+        "k": 2, "cap": 6, "bound": 36, "eta_base": None, "supervertices_checked": 8,
+    }
     code2, out2, _ = run(["bound", H8, "--k", "2", "--cap", "6"])
     a, b = doc(out), doc(out2)
     a.pop("timing"), b.pop("timing")
     assert a == b
+    # the block check covers every selection, so nothing is left to seed
     code3, _, _ = run(["bound", H8, "--k", "2", "--cap", "6", "--seed", "7"])
-    assert code3 == 0
+    assert code3 == 2
+
+
+def test_each_option_belongs_to_the_command_that_reads_it():
+    _, document, _ = run(["check", "--wr", C5])
+    commands = {
+        "check": ["check", "--wr", C5],
+        "mu": ["mu", W5],
+        "lex": ["lex", "product", "A_", "A_"],
+        "eta": ["eta", C5],
+        "bound": ["bound", H8, "--k", "2", "--cap", "6"],
+        "verify": ["verify", document],
+    }
+    for name, argv in commands.items():
+        foreign = [["--seed", "5"], ["--samples", "5"]]
+        if name != "mu":
+            foreign.append(["--budget", "3"])
+        if name != "lex":
+            foreign.append(["--format", "json"])
+        for flags in foreign:
+            code, _, err = run(argv + flags)
+            assert code == 2 and "unrecognized arguments" in err, (argv, flags)
 
 
 def test_verify_rejects_broken_orientation():
@@ -480,6 +510,37 @@ def test_file_and_stdin_input(tmp_path):
     assert code == 0 and doc(out)["result"]["eta"] == 5
     code, out, _ = run(["eta", "-"], stdin=W5 + "\n")
     assert code == 0 and doc(out)["result"]["eta"] == 5
+
+
+def readme_commands() -> list[list[list[str]]]:
+    """The commands in the README's CLI block, each as the argument lists of
+    its pipeline stages with the leading `wordrep` dropped."""
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        stages: list[list[str]] = [[]]
+        for w in words:
+            if w == "|":
+                stages.append([])
+            else:
+                stages[-1].append(w)
+        assert all(stage[0] == "wordrep" for stage in stages), line
+        commands.append([stage[1:] for stage in stages])
+    return commands
+
+
+def test_readme_cli_commands_succeed():
+    commands = readme_commands()
+    assert commands
+    for stages in commands:
+        out = None
+        for argv in stages:
+            code, out, err = run(argv, stdin=out)
+            assert code == 0, (argv, err)
 
 
 def test_documents_are_deterministic():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from wordrep import extremal, lexops
-from wordrep.errors import InputError
+from wordrep.errors import InputError, InternalError
 from wordrep.extremal import (
     eta,
     tau_exhaustive,
@@ -23,7 +23,7 @@ from wordrep.graphs import (
 from wordrep.lexops import lex_product
 from wordrep.recognition import verify_certificate, wr_decide
 
-from conftest import random_graph
+from conftest import lex_product_missing_a_cross_edge, random_graph
 from oracles import eta_unpruned
 
 CORPUS6 = Path(__file__).parent / "data" / "graphs6.g6"
@@ -150,7 +150,7 @@ def test_tau_guards():
 
 def test_power_bound_on_the_pinned_graph():
     r = verify_power_bound(extremal8(), 2, 6)
-    assert (r.bound, r.supervertices_checked, r.selections_checked) == (36, 8, 400)
+    assert (r.bound, r.supervertices_checked) == (36, 8)
 
 
 def test_power_bound_base_case_is_eta():
@@ -161,13 +161,18 @@ def test_power_bound_base_case_is_eta():
 def test_power_bound_degenerate_cap():
     r = verify_power_bound(complete_graph(3), 2, 3)
     assert r.bound == 9  # every vertex of the 9-vertex square may be taken
-    assert r.selections_checked == 0  # no 4-subsets of a 3-vertex base
+    assert r.supervertices_checked == 3  # no 4-subsets of a 3-vertex base to refuse
 
 
-def test_power_bound_sampling_is_seeded():
-    a = verify_power_bound(extremal8(), 2, 6, seed=7, samples=5)
-    b = verify_power_bound(extremal8(), 2, 6, seed=7, samples=5)
-    assert a == b
+def test_power_bound_refuses_a_power_with_wrong_cross_edges(monkeypatch):
+    monkeypatch.setattr(extremal, "lex_product", lex_product_missing_a_cross_edge)
+    with pytest.raises(InternalError, match="not a module"):
+        verify_power_bound(extremal8(), 2, 6)
+    # blocks joined along the wrong outer graph are still modules
+    monkeypatch.setattr(extremal, "lex_product",
+                        lambda g1, g2: lex_product(complete_graph(g1.n), g2))
+    with pytest.raises(InternalError, match="do not induce the base"):
+        verify_power_bound(extremal8(), 2, 6)
 
 
 def test_power_bound_builds_each_power_once(monkeypatch):
@@ -181,8 +186,8 @@ def test_power_bound_builds_each_power_once(monkeypatch):
 
     monkeypatch.setattr(lexops, "lex_product", counting)
     monkeypatch.setattr(extremal, "lex_product", counting, raising=False)
-    r = verify_power_bound(extremal8(), 3, 6, samples=2)
-    assert (r.bound, r.supervertices_checked, r.selections_checked) == (216, 8, 16)
+    r = verify_power_bound(extremal8(), 3, 6)
+    assert (r.bound, r.supervertices_checked) == (216, 8)
     assert calls == [8, 64]
 
 

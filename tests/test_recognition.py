@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from itertools import combinations, product
 from pathlib import Path
 
@@ -500,6 +502,21 @@ def test_mu_exact_extremal8(h8):
 def test_mu_budget_exhaustion(w5):
     r = mu_exact(w5, budget=3)
     assert r.status == "unknown" and r.value is None and not r.exact
+
+
+def test_cover_search_runs_without_a_frame_per_edge(w5):
+    # W5 with a 120-vertex path hanging off its hub: 130 edges, more than
+    # the 100 frames left above the caller
+    tail = [(v, v + 1) for v in range(5, 125)]
+    g = Graph.from_edges(126, w5.edges() + tail)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        cover = recognition._cover_search(g, 2, None)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert cover is not None and set().union(*cover) == set(g.edges())
+    assert all(is_wr(Graph.from_edges(g.n, part)) for part in cover)
 
 
 def test_mu_verify_rejects_tampering(w5):
