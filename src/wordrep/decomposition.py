@@ -64,7 +64,6 @@ from .recognition import (
     is_comparability,
     is_minimal_non_wr,
     is_wr,
-    mu_exact,
     verify_decomposition,
     wr_decide,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "decompose_min_nonwr_product",
     "verify_lower_bound",
     "decomposition_diagnostics",
-    "decomposition_verify",
 ]
 
 def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
@@ -289,9 +287,12 @@ def decompose_product_tight(
     splits into k1 comparability subgraphs: part i is the map of outer part
     i refilled with split class i inside every supervertex.
 
-    When the outer factor needs k1 parts exactly, picking one vertex per
-    supervertex embeds it in the host, so the count is optimal; the witness
-    records that copy.
+    Picking one vertex per supervertex embeds the outer factor in the host,
+    so the outer cover's lower bound carries over, capped at k1, with its
+    witness moved to the first vertices of those supervertices; when the
+    outer cover claims no bound, a non-representable outer factor still
+    gives 2. When the outer factor needs k1 parts exactly, the count is
+    optimal.
     """
     g1, g2 = p.outer, p.inner
     if d1.host != g1:
@@ -306,17 +307,11 @@ def decompose_product_tight(
     parts = _refilled(p, [_oriented(part, g1.n) for part in d1.parts], fills)
 
     bound, witness = 1, None
-    if k1 >= 2:
-        copy = tuple(p.structure.flat(i, 0) for i in range(g1.n))
-        if k1 == 2:
-            if not is_wr(g1):
-                bound, witness = 2, copy
-        else:
-            r = mu_exact(g1)
-            if r.status == "exact" and r.value >= 2:
-                bound, witness = min(k1, r.value), copy
-            elif not is_wr(g1):
-                bound, witness = 2, copy
+    if k1 >= 2 and d1.lower_bound >= 2:
+        bound = min(k1, d1.lower_bound)
+        witness = tuple(p.structure.flat(i, 0) for i in d1.lower_bound_witness)
+    elif k1 >= 2 and not is_wr(g1):
+        bound, witness = 2, tuple(p.structure.flat(i, 0) for i in range(g1.n))
     return Decomposition(p.graph, _parts(parts), "product-tight", bound, witness)
 
 
@@ -435,6 +430,3 @@ def verify_lower_bound(d: Decomposition) -> list[str]:
 def decomposition_diagnostics(d: Decomposition) -> list[str]:
     return verify_decomposition(d.host, d) + verify_lower_bound(d)
 
-
-def decomposition_verify(d: Decomposition) -> bool:
-    return not decomposition_diagnostics(d)

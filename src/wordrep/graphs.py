@@ -63,9 +63,6 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -112,14 +109,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(len(kept), tuple(adj))
 
 
-def is_dominating_vertex(g: Graph, x: int) -> bool:
-    """True iff x is adjacent to every other vertex of g."""
-    if not 0 <= x < g.n:
-        raise InputError(f"vertex {x} not in graph")
-    full = (1 << g.n) - 1
-    return g.adj[x] == full ^ (1 << x)
-
-
 # ── orientations ─────────────────────────────────────────────────────────
 
 
@@ -162,12 +151,6 @@ class Orientation:
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs (tail, head), lexicographically sorted."""
         return [(u, v) for u in range(self.host.n) for v in bits(self.out[u])]
-
-    def direction(self, u: int, v: int) -> tuple[int, int]:
-        """The directed version of edge {u, v}."""
-        if not self.host.has_edge(u, v):
-            raise InputError(f"({u}, {v}) is not an edge of the host")
-        return (u, v) if self.out[u] >> v & 1 else (v, u)
 
     def reversed(self) -> "Orientation":
         inn = [0] * self.host.n

@@ -30,23 +30,14 @@ from `orient_special`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import InputError, InternalError
-from .graphs import (
-    Graph,
-    LexStructure,
-    Orientation,
-    bits,
-    edge_set,
-    induced_subgraph,
-)
+from .errors import InputError
+from .graphs import Graph, LexStructure, Orientation, bits, edge_set
 from .recognition import (
     check_semi_transitive,
     check_transitive,
     comparability_decide,
-    is_comparability,
-    is_wr,
     wr_decide,
 )
 
@@ -240,32 +231,7 @@ def orient_special(
     return Orientation(Graph(st.n, tuple(adj)), tuple(out))
 
 
-# ── the product characterization ─────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class ProductReport:
-    """Recognition facts for a composition of two representable factors.
-
-    With at least one outer edge the composite is representable iff the
-    inner factor is a comparability graph; it is a comparability graph iff
-    both factors are; and its edges split into one or two representable
-    parts accordingly (cross part plus interiors). `witness` carries a
-    non-representable induced set (one supervertex plus a cross neighbor)
-    when the composite is not representable; `verified_directly` reports
-    whether the claims were re-checked by running the deciders on the
-    composite itself.
-    """
-
-    h_wr: bool
-    h_comp: bool
-    mu_h: int
-    witness: Optional[tuple[int, ...]]
-    verified_directly: bool
-
-
-# Composites with at most this many vertices are re-decided directly.
-_DIRECT_LIMIT = 12
+# ── witnesses ────────────────────────────────────────────────────────────
 
 
 def supervertex_witness(st: LexStructure, outer: Graph) -> tuple[int, ...]:
@@ -275,30 +241,3 @@ def supervertex_witness(st: LexStructure, outer: Graph) -> tuple[int, ...]:
     whenever the inner graph is not a comparability graph."""
     i, j = min(outer.edges())
     return tuple(st.supervertex(i)) + (st.flat(j, 0),)
-
-
-def product_wr_characterize(g1: Graph, g2: Graph) -> ProductReport:
-    if g1.edge_count() == 0:
-        raise InputError("outer factor needs at least one edge")
-    if not is_wr(g1) or not is_wr(g2):
-        raise InputError("both factors must be word-representable")
-    inner_comp = is_comparability(g2)
-    outer_comp = is_comparability(g1)
-    h_wr = inner_comp
-    h_comp = inner_comp and outer_comp
-    mu_h = 1 if h_wr else 2
-
-    p = lex_product(g1, g2)
-    witness = None
-    if not h_wr:
-        witness = supervertex_witness(p.structure, g1)
-        if is_wr(induced_subgraph(p.graph, witness)):
-            raise InternalError("supervertex-plus-neighbor witness unexpectedly represents")
-
-    direct = p.graph.n <= _DIRECT_LIMIT
-    if direct:
-        if is_wr(p.graph) != h_wr:
-            raise InternalError("direct representability check contradicts the characterization")
-        if is_comparability(p.graph) != h_comp:
-            raise InternalError("direct comparability check contradicts the characterization")
-    return ProductReport(h_wr, h_comp, mu_h, witness, direct)

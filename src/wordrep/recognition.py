@@ -35,7 +35,7 @@ graph's entry in place.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .certificates import (
     NON_COMPARABILITY,
@@ -49,7 +49,7 @@ from .certificates import (
     Part,
 )
 from .errors import BudgetExceeded, InputError, InternalError
-from .graphs import Graph, Orientation, bits, induced_subgraph, is_dominating_vertex
+from .graphs import Graph, Orientation, bits, induced_subgraph
 
 Word = Sequence[int]
 
@@ -400,7 +400,7 @@ _WR_MEMO = _Memo()
 _COMP_MEMO = _Memo()
 
 
-def _shrink_witness(g: Graph, decide_ok, start: Optional[Iterable[int]] = None) -> tuple[int, ...]:
+def _shrink_witness(g: Graph, decide_ok) -> tuple[int, ...]:
     """Greedy one-pass minimization of a failing vertex set.
 
     The failing property is closed under adding vertices (both targets are
@@ -408,7 +408,7 @@ def _shrink_witness(g: Graph, decide_ok, start: Optional[Iterable[int]] = None) 
     it was examined, deleting it from a superset of the final set passed,
     and so does deleting it from the final set itself.
     """
-    current = sorted(start) if start is not None else list(range(g.n))
+    current = list(range(g.n))
     i = 0
     while i < len(current):
         cand = current[:i] + current[i + 1:]
@@ -475,29 +475,6 @@ def comparability_decide(g: Graph) -> tuple[bool, Certificate]:
         res = (False, Certificate(NON_COMPARABILITY, _shrink_witness(g, is_comparability)))
         _COMP_MEMO.keep(g, res)
     return res
-
-
-def wr_with_dominating_vertex(g: Graph, x: int) -> tuple[bool, Certificate]:
-    """Decide representability of a graph with a dominating vertex x by
-    reducing to comparability of g - x.
-
-    On success the certificate is a semi-transitive orientation of g itself:
-    take a transitive orientation of g - x and let x be a source. Any
-    directed path either avoids x, where transitivity closes every pair, or
-    starts at x, whose arcs to the rest all exist. On failure the witness is
-    an inclusion-minimal non-representable set containing x.
-    """
-    if not is_dominating_vertex(g, x):
-        raise InputError(f"vertex {x} does not dominate the graph")
-    rest = [v for v in range(g.n) if v != x]
-    ok, cert = comparability_decide(induced_subgraph(g, rest))
-    if ok:
-        arcs = [(x, v) for v in rest]
-        arcs += [(rest[a], rest[b]) for a, b in cert.payload.arcs()]
-        return True, Certificate(SEMI_TRANSITIVE, Orientation.from_arcs(g, arcs))
-    inner = [rest[v] for v in cert.payload]
-    witness = _shrink_witness(g, is_wr, start=inner + [x])
-    return False, Certificate(WITNESS, witness)
 
 
 def is_minimal_non_wr(g: Graph) -> bool:
@@ -659,30 +636,47 @@ def _cover_search(g: Graph, k: int, limit: Optional[int]) -> Optional[list[froze
     ]
 
 
+def _colour_bits(g: Graph) -> int:
+    """⌈log2 χ⌉ for the colour count χ of a greedy colouring of g. Giving
+    each edge the lowest bit where its ends' colours differ splits g into
+    that many bipartite, hence representable, parts (Harary, Hsu & Miller
+    1977), so μ(g) is at most this."""
+    colour = [0] * g.n
+    for v in range(g.n):
+        taken = 0
+        for u in bits(g.adj[v] & ((1 << v) - 1)):
+            taken |= 1 << colour[u]
+        colour[v] = (~taken & (taken + 1)).bit_length() - 1
+    return max(colour, default=0).bit_length()
+
+
 def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
     """Smallest number of word-representable spanning subgraphs whose edge
     union is g, found by exhausting part counts bottom-up.
 
     `budget` caps the assignments tried per part count. A level cut short by
     the budget downgrades any later answer to an upper bound; if the budget
-    kills every level before a cover shows up the result is unknown.
+    kills every level before a cover shows up the result is unknown. Once a
+    level is cut short, part counts stop at `_colour_bits(g)`, where a cover
+    is known to exist; an unbudgeted search finds one there at the latest.
     """
     if is_wr(g):
         return MuResult(1, (Part(frozenset(g.edges()), wr_decide(g)[1]),), True, "exact")
-    all_exhausted = True
-    top = max(2, g.edge_count())
-    for k in range(2, top + 1):
+    all_exhausted, top, k = True, 0, 2
+    while all_exhausted or k <= top:
         try:
             cover = _cover_search(g, k, budget)
         except BudgetExceeded:
-            all_exhausted = False
-            continue
+            cover = None
+            if all_exhausted:
+                all_exhausted, top = False, max(2, _colour_bits(g))
         if cover is not None:
             parts = tuple(
                 Part(es, wr_decide(Graph.from_edges(g.n, es))[1]) for es in cover
             )
             status = "exact" if all_exhausted else "upper-bound"
             return MuResult(k, parts, all_exhausted, status)
+        k += 1
     return MuResult(None, (), False, "unknown")
 
 
@@ -762,7 +756,3 @@ def verify_decomposition(g: Graph, d) -> list[str]:
         diags.append(f"edges {sorted(missing)} are covered by no part")
     return diags
 
-
-def mu_verify(g: Graph, d) -> bool:
-    """True iff d is a valid cover of g by certified representable parts."""
-    return not verify_decomposition(g, d)

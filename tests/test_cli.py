@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from wordrep import decomposition, recognition
 from wordrep.cli import main
 from wordrep.errors import InputError
 from wordrep.formats import encode_graph6, parse_graph
-from wordrep.graphs import Orientation, cycle_graph, extremal8, path_graph
+from wordrep.graphs import Orientation, cycle_graph, extremal8, path_graph, wheel_graph
+from wordrep.lexops import lex_product
 from wordrep.recognition import word_represents
 
 H8 = "G|fJH{"
@@ -592,3 +594,18 @@ def test_closed_stdout_exits_141_without_traceback():
         proc.kill()
     assert proc.returncode == 141
     assert err == ""
+
+
+def test_budgeted_mu_stops_at_the_colouring_bound():
+    # W5 over W5 has 36 vertices and greedily takes 16 colours, so 4
+    # bipartite parts cover it; a budgeted search tries no more part counts,
+    # whose part subsets would double the memory at every further count
+    host = encode_graph6(lex_product(wheel_graph(5), wheel_graph(5)).graph)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "wordrep", "mu", host, "--budget", "500"],
+                          env=child_env(), capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory)
+    assert proc.returncode in (0, 3), proc.stderr

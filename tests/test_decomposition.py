@@ -15,7 +15,6 @@ from wordrep.decomposition import (
     decompose_product_tight,
     decompose_product_two,
     decomposition_diagnostics,
-    decomposition_verify,
     verify_lower_bound,
 )
 from wordrep.errors import InputError
@@ -30,7 +29,12 @@ from wordrep.graphs import (
     wheel_graph,
 )
 from wordrep.lexops import lex_power, lex_product
-from wordrep.recognition import check_transitive, comparability_decide, mu_exact, mu_verify
+from wordrep.recognition import (
+    check_transitive,
+    comparability_decide,
+    mu_exact,
+    verify_decomposition,
+)
 
 C5_SPLIT = ([(0, 1), (1, 2)], [(2, 3), (3, 4), (0, 4)])
 
@@ -47,7 +51,7 @@ def test_product_two_covers_nonrepresentable_product():
     d = decompose_product_two(lex_product(path_graph(3), cycle_graph(5)))
     assert d.value == 2
     assert d.lower_bound == 2  # so two parts is exactly optimal here
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_product_two_split_is_cross_versus_interior():
@@ -63,7 +67,7 @@ def test_product_two_split_is_cross_versus_interior():
 def test_product_two_on_complete_factors_is_valid_but_loose():
     d = decompose_product_two(lex_product(complete_graph(2), complete_graph(2)))
     assert d.value == 2 and d.lower_bound == 1
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
     assert mu_exact(d.host).value == 1
 
 
@@ -80,14 +84,14 @@ def test_product_two_rejects_bad_factors():
 def test_power_cover_square_of_cycle():
     d = decompose_power_k(cycle_graph(5), 2)
     assert d.host.n == 25 and d.value == 2 and d.lower_bound == 2
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_power_cover_cube_of_cycle():
     d = decompose_power_k(cycle_graph(5), 3)
     assert d.host.n == 125 and d.value == 3
     assert d.host == lex_power(cycle_graph(5), 3).graph
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_power_cover_peels_top_cross_layer():
@@ -112,7 +116,7 @@ def test_comparability_split_power_gives_two_transitive_parts():
     for k in (2, 3):
         d = decompose_power_two_comparability(cycle_graph(5), C5_SPLIT, k)
         assert d.value == 2 and d.lower_bound == 2
-        assert decomposition_verify(d)
+        assert not decomposition_diagnostics(d)
         for part in d.parts:
             assert part.certificate.kind == "transitive-orientation"
             assert check_transitive(part.certificate.payload)
@@ -187,7 +191,7 @@ def test_general_product_cover_adds_part_counts():
     w5, dw5 = w5_cover()
     d = decompose_product_general(lex_product(w5, w5), dw5, dw5)
     assert d.host.n == 36 and d.value == 4 and d.lower_bound == 2
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_general_product_cover_mixed_factors():
@@ -196,7 +200,7 @@ def test_general_product_cover_mixed_factors():
     dc5 = as_decomposition(c5, mu_exact(c5))
     d = decompose_product_general(lex_product(c5, w5), dc5, dw5)
     assert d.value == 1 + 2
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_general_product_cover_of_complete_factors():
@@ -204,7 +208,7 @@ def test_general_product_cover_of_complete_factors():
     dk2 = as_decomposition(k2, mu_exact(k2))
     d = decompose_product_general(lex_product(k2, k2), dk2, dk2)
     assert d.value == 2 and d.host == complete_graph(4)
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_general_product_rejects_unverifiable_covers():
@@ -225,7 +229,7 @@ def test_tight_product_cover_matches_outer_count():
     d = decompose_product_tight(lex_product(w5, cycle_graph(5)), dw5, list(C5_SPLIT))
     assert d.host.n == 30
     assert d.value == 2 and d.lower_bound == 2  # certifies optimality
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_tight_product_cover_single_part_is_the_product():
@@ -235,7 +239,28 @@ def test_tight_product_cover_single_part_is_the_product():
     d = decompose_product_tight(p, dc5, [p3.edges()])
     assert d.value == 1
     assert d.parts[0].edges == frozenset(p.graph.edges())
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
+
+
+def test_tight_product_bound_comes_from_the_outer_cover(monkeypatch):
+    # a three-part cover of W5 (spokes, a rim path, the rest of the rim)
+    # that claims the bound 2 with the whole wheel as its witness
+    w5 = wheel_graph(5)
+    classes = [[(i, 5) for i in range(5)], [(0, 1), (1, 2), (2, 3)], [(3, 4), (0, 4)]]
+    parts = tuple(
+        Part(edge_set(es), recognition.wr_decide(Graph.from_edges(6, es))[1]) for es in classes
+    )
+    d1 = Decomposition(w5, parts, "search", 2, tuple(range(6)))
+
+    def no_search(*args):
+        raise AssertionError("the outer factor's cover search ran again")
+
+    monkeypatch.setattr(recognition, "_cover_search", no_search)
+    p = lex_product(w5, cycle_graph(5))
+    d = decompose_product_tight(p, d1, list(C5_SPLIT))
+    assert d.value == 3 and d.lower_bound == 2
+    assert d.lower_bound_witness == tuple(p.structure.flat(i, 0) for i in range(6))
+    assert not decomposition_diagnostics(d)
 
 
 def test_tight_product_cover_rejects_bad_splits():
@@ -257,7 +282,7 @@ def test_min_product_cover_three_disjoint_parts():
     p = lex_product(w5, w5)
     d = decompose_min_nonwr_product(p)
     assert d.value == 3 and d.lower_bound == 2
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
     e1, e2, e3 = (part.edges for part in d.parts)
     assert not (e1 & e2) and not (e1 & e3) and not (e2 & e3)
     assert e1 | e2 | e3 == frozenset(p.graph.edges())
@@ -267,14 +292,14 @@ def test_min_product_cover_every_fixed_block_works():
     w5 = wheel_graph(5)
     p = lex_product(w5, w5)
     for r in range(6):
-        assert decomposition_verify(decompose_min_nonwr_product(p, r=r))
+        assert not decomposition_diagnostics(decompose_min_nonwr_product(p, r=r))
 
 
 def test_min_product_cover_root_and_drop_freedom():
     w5 = wheel_graph(5)
     p = lex_product(w5, w5)
     d = decompose_min_nonwr_product(p, r=3, roots=[5, 4, 3, 2, 1, 0], drop=2)
-    assert decomposition_verify(d)
+    assert not decomposition_diagnostics(d)
 
 
 def test_min_product_cover_rejects_non_minimal_factors():
@@ -302,8 +327,8 @@ def test_min_product_cover_rejects_bad_indices():
 def test_wrapping_an_exact_cover_keeps_its_bound():
     w5, dw5 = w5_cover()
     assert dw5.value == 2 and dw5.lower_bound == 2
-    assert decomposition_verify(dw5)
-    assert mu_verify(w5, dw5)
+    assert not decomposition_diagnostics(dw5)
+    assert not verify_decomposition(w5, dw5)
 
 
 def test_wrapping_requires_a_found_cover():

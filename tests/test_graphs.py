@@ -12,10 +12,7 @@ from wordrep.graphs import (
     Orientation,
     complete_graph,
     cycle_graph,
-    empty_graph,
-    extremal8,
     induced_subgraph,
-    is_dominating_vertex,
     path_graph,
     wheel_graph,
 )
@@ -73,18 +70,6 @@ def test_induced_subgraph_properties():
         assert induced_subgraph(induced_subgraph(g, s), inner) == induced_subgraph(g, t)
 
 
-def test_dominating_vertex(w5, c5):
-    assert is_dominating_vertex(w5, 5)
-    assert not is_dominating_vertex(w5, 0)
-    assert not is_dominating_vertex(c5, 0)
-    assert is_dominating_vertex(complete_graph(4), 2)
-    assert is_dominating_vertex(empty_graph(1), 0)
-    # vertex 0 of the extremal graph misses two of the other seven
-    assert not is_dominating_vertex(extremal8(), 0)
-    with pytest.raises(InputError):
-        is_dominating_vertex(c5, 5)
-
-
 def test_extremal8_shape(h8):
     assert h8.n == 8
     assert h8.edge_count() == 18
@@ -94,7 +79,6 @@ def test_extremal8_shape(h8):
 def test_orientation_construction(c5):
     o = Orientation.from_arcs(c5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert o.arcs() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-    assert o.direction(4, 3) == (3, 4)
     assert o.reversed().arcs() == [(1, 0), (2, 1), (3, 2), (4, 0), (4, 3)]
     assert o.reversed().reversed() == o
 

@@ -22,13 +22,16 @@ from wordrep.lexops import (
     lex_product,
     lift_semi_transitive,
     orient_special,
-    product_wr_characterize,
     special_subgraph,
+    supervertex_witness,
 )
 from wordrep.recognition import (
     check_semi_transitive,
     check_transitive,
     comparability_decide,
+    is_comparability,
+    is_wr,
+    mu_exact,
     wr_decide,
 )
 
@@ -355,6 +358,7 @@ def test_special_comparability_equivalence(rng=random.Random(16)):
 
 
 def test_characterization_matches_comparability_table():
+    # (outer, inner): product representable, comparability, and its mu
     p3, c5 = path_graph(3), cycle_graph(5)
     rows = {
         (p3, p3): (True, True, 1),
@@ -362,26 +366,22 @@ def test_characterization_matches_comparability_table():
         (c5, p3): (True, False, 1),
         (c5, c5): (False, False, 2),
     }
-    for (g1, g2), (h_wr, h_comp, mu_h) in rows.items():
-        r = product_wr_characterize(g1, g2)
-        assert (r.h_wr, r.h_comp, r.mu_h) == (h_wr, h_comp, mu_h)
-
-
-def test_characterization_rechecks_directly_when_small():
-    r = product_wr_characterize(path_graph(3), path_graph(3))
-    assert r.verified_directly
-    assert not product_wr_characterize(cycle_graph(5), cycle_graph(5)).verified_directly
+    for (g1, g2), row in rows.items():
+        h = lex_product(g1, g2).graph
+        assert (is_wr(h), is_comparability(h), mu_exact(h).value) == row
 
 
 def test_characterization_witness_is_supervertex_plus_neighbor():
-    c5 = cycle_graph(5)
-    r = product_wr_characterize(complete_graph(2), c5)
-    assert r.witness is not None and len(r.witness) == 6
-    h = lex_product(complete_graph(2), c5).graph
-    assert not wr_decide(induced_subgraph(h, r.witness))[0]
+    k2, c5 = complete_graph(2), cycle_graph(5)
+    p = lex_product(k2, c5)
+    w = supervertex_witness(p.structure, k2)
+    assert w == (0, 1, 2, 3, 4, 5)
+    assert not is_wr(induced_subgraph(p.graph, w))
 
 
 def test_characterization_agrees_with_direct_decision(rng=random.Random(17)):
+    # with an outer edge, the product is representable iff the inner factor
+    # is a comparability graph, and a comparability graph iff both are;
     # every graph on at most 4 vertices is a comparability graph, so the
     # random sweep exercises the representable side only
     for _ in range(40):
@@ -389,21 +389,9 @@ def test_characterization_agrees_with_direct_decision(rng=random.Random(17)):
         g2 = random_graph(rng, rng.randint(1, 4), 0.5)
         if g1.edge_count() == 0:
             continue
-        r = product_wr_characterize(g1, g2)
         h = lex_product(g1, g2).graph
-        assert r.h_wr and wr_decide(h)[0]
-        assert r.h_comp == comparability_decide(h)[0]
+        assert wr_decide(h)[0] == is_comparability(g2)
+        assert comparability_decide(h)[0] == (is_comparability(g1) and is_comparability(g2))
     # the non-representable side needs a 5-vertex inner factor
-    r = product_wr_characterize(complete_graph(2), cycle_graph(5))
     h = lex_product(complete_graph(2), cycle_graph(5)).graph
-    assert not r.h_wr and not wr_decide(h)[0]
-    assert not r.h_comp and not comparability_decide(h)[0]
-
-
-def test_characterization_rejects_bad_factors():
-    with pytest.raises(InputError):  # no outer edge
-        product_wr_characterize(empty_graph(3), path_graph(3))
-    with pytest.raises(InputError):  # non-representable factor
-        product_wr_characterize(wheel_graph(5), path_graph(3))
-    with pytest.raises(InputError):
-        product_wr_characterize(complete_graph(2), wheel_graph(5))
+    assert not wr_decide(h)[0] and not comparability_decide(h)[0]

@@ -50,13 +50,11 @@ from wordrep.recognition import (
     is_minimal_non_wr,
     is_wr,
     mu_exact,
-    mu_verify,
     verify_certificate,
     verify_decomposition,
     word_from_orientation,
     word_represents,
     wr_decide,
-    wr_with_dominating_vertex,
 )
 
 CORPUS6 = Path(__file__).parent / "data" / "graphs6.g6"
@@ -440,18 +438,19 @@ def test_representable_is_hereditary():
 
 
 def test_dominating_vertex_reduction(w5, c5):
-    ok, cert = wr_with_dominating_vertex(w5, 5)
+    # a graph with a dominating vertex is representable iff the rest is a
+    # comparability graph: W5's rim C5 is not, so W5 does not represent
+    assert not is_comparability(c5) and not is_wr(w5)
+    ok, cert = wr_decide(w5)
     assert not ok and cert.kind == WITNESS
-    assert not wr_decide(induced_subgraph(w5, cert.payload))[0]
+    assert not is_wr(induced_subgraph(w5, cert.payload))
     # even wheel: rim C6 is a comparability graph, so the wheel represents
     w6 = wheel_graph(6)
-    ok, cert = wr_with_dominating_vertex(w6, 6)
+    assert is_comparability(cycle_graph(6))
+    ok, cert = wr_decide(w6)
     assert ok and cert.kind == SEMI_TRANSITIVE
     assert cert.payload.host == w6
     assert check_semi_transitive(cert.payload)
-    assert wr_decide(w6)[0] is True
-    with pytest.raises(InputError):
-        wr_with_dominating_vertex(c5, 0)
 
 
 def test_dominating_vertex_agrees_with_direct_decide():
@@ -461,7 +460,7 @@ def test_dominating_vertex_agrees_with_direct_decide():
         apex = base.n
         edges = base.edges() + [(v, apex) for v in range(base.n)]
         g = Graph.from_edges(base.n + 1, edges)
-        assert wr_with_dominating_vertex(g, apex)[0] == wr_decide(g)[0]
+        assert is_wr(g) == is_comparability(base)
         assert wr_decide(g)[0] == comparability_decide(base)[0]
 
 
@@ -479,13 +478,13 @@ def test_mu_exact_representable(c5):
     assert r.value == 1 and r.exact and r.status == "exact"
     assert len(r.parts) == 1
     assert r.parts[0].edges == frozenset(c5.edges())
-    assert mu_verify(c5, r)
+    assert not verify_decomposition(c5, r)
 
 
 def test_mu_exact_wheel(w5):
     r = mu_exact(w5)
     assert r.value == 2 and r.exact
-    assert mu_verify(w5, r)
+    assert not verify_decomposition(w5, r)
     union = set().union(*(p.edges for p in r.parts))
     assert union == set(w5.edges())
     for p in r.parts:
@@ -496,7 +495,7 @@ def test_mu_exact_wheel(w5):
 def test_mu_exact_extremal8(h8):
     r = mu_exact(h8)
     assert r.value == 2 and r.exact
-    assert mu_verify(h8, r)
+    assert not verify_decomposition(h8, r)
 
 
 def test_mu_budget_exhaustion(w5):
@@ -529,7 +528,6 @@ def test_mu_verify_rejects_tampering(w5):
     class D:
         parts = tuple(broken)
 
-    assert not mu_verify(w5, D)
     diags = verify_decomposition(w5, D)
     assert diags and any("covered by no part" in d or "not semi-transitive" in d
                          or "host differs" in d for d in diags)
