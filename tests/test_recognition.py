@@ -32,6 +32,7 @@ from wordrep.formats import decode_graph6
 from wordrep.graphs import (
     Graph,
     Orientation,
+    bits,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -283,6 +284,10 @@ def test_deep_sparse_inputs_decide():
     g = path_graph(1100)
     ok, cert = wr_decide(g)
     assert ok and check_semi_transitive(cert.payload)
+    # least growth makes every vertex a source or a sink; trying "as
+    # stored" first would build the chain 0 -> 1 -> ... -> 1099
+    out = cert.payload.out
+    assert all(out[b] == 0 for a in range(g.n) for b in bits(out[a]))
     rng = random.Random(12)
     for _ in range(4):
         n = rng.randint(200, 400)
@@ -356,11 +361,18 @@ def test_verdict_only_callers_shrink_no_witness(monkeypatch, w5):
     assert shrunk == [planted]
 
 
-def test_neighbourhood_rule_keeps_every_verdict(monkeypatch):
+def _verdict_corpus() -> list[Graph]:
+    """Every labeled graph on at most 6 vertices, the graph6 corpus and a
+    seeded sweep on 7-12 vertices."""
     rng = random.Random(20261018)
     corpus = [g for n in range(7) for g in _all_labeled_graphs(n)]
     corpus += [decode_graph6(line) for line in CORPUS6.read_text().split()]
     corpus += [random_graph(rng, n, p) for n in range(7, 13) for p in (0.3, 0.5, 0.7) for _ in range(10)]
+    return corpus
+
+
+def test_neighbourhood_rule_keeps_every_verdict(monkeypatch):
+    corpus = _verdict_corpus()
     _fresh_memos(monkeypatch)
     verdicts = [is_wr(g) for g in corpus]
     assert 0 < sum(verdicts) < len(corpus)
@@ -368,6 +380,21 @@ def test_neighbourhood_rule_keeps_every_verdict(monkeypatch):
     monkeypatch.setattr(recognition, "is_comparability", lambda g: True)
     _fresh_memos(monkeypatch)
     assert verdicts == [is_wr(g) for g in corpus]
+
+
+def test_value_order_keeps_every_verdict(monkeypatch):
+    corpus = _verdict_corpus()
+    _fresh_memos(monkeypatch)
+    found = [recognition._find_semi_transitive(g) for g in corpus]
+    # dropping the order hook tries every edge "as stored" first
+    real = recognition._backtrack
+    monkeypatch.setattr(recognition, "_backtrack", lambda g, state, propagate, first=None: real(g, state, propagate))
+    _fresh_memos(monkeypatch)
+    stored = [recognition._find_semi_transitive(g) for g in corpus]
+    assert [o is None for o in found] == [o is None for o in stored]
+    assert all(check_semi_transitive(o) for o in found + stored if o is not None)
+    assert 0 < sum(o is None for o in found) < len(corpus)
+    assert any(a != b for a, b in zip(found, stored))
 
 
 def test_graphs_on_four_vertices_are_comparability():
@@ -379,9 +406,9 @@ def test_neighbourhood_rule_refuses_before_searching(monkeypatch):
     searches = []
     real = recognition._backtrack
 
-    def counting(g, state, propagate):
+    def counting(g, state, propagate, *rest):
         searches.append(propagate.__qualname__.split(".")[0])
-        return real(g, state, propagate)
+        return real(g, state, propagate, *rest)
 
     monkeypatch.setattr(recognition, "_backtrack", counting)
     _fresh_memos(monkeypatch)
