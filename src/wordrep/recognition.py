@@ -15,11 +15,14 @@ The engine rests on three facts:
   representable graph induces a comparability graph, and the semi-transitive
   search refuses a graph where one does not before it orients any edge.
 
-Both searches run one engine, `_backtrack`: an explicit-stack search over
-the edges in index order, so its depth is bounded by memory rather than by
-the interpreter's recursion limit. Each search supplies only its partial
-state and a propagator, which places an arc plus every direction it forces
-and rejects dead partial states. The semi-transitive propagator keeps
+Each search keeps a partial state and a propagator, which places an arc
+plus every direction it forces and rejects dead partial states, and walks
+the edges in index order. Comparability is decided by forcing alone: one
+forward pass, in polynomial time, because on a comparability graph no
+choice the pass makes can fail (the proof is `_find_transitive`'s
+docstring). Representability backtracks, in `_backtrack`: an
+explicit-stack search, so its depth is bounded by memory rather than by
+the interpreter's recursion limit. The semi-transitive propagator keeps
 ancestor and descendant sets, so after each new arc it rechecks only the
 arcs and open edges that arc can affect. That search also orders its
 values: at each decision it tries first the direction that adds the fewest
@@ -60,25 +63,6 @@ Word = Sequence[int]
 
 
 # ── words ────────────────────────────────────────────────────────────────
-
-
-def alternates(w: Word, x: int, y: int) -> bool:
-    """True iff x and y strictly alternate in w (restricting w to the
-    letters {x, y} yields xyxy... or yxyx...)."""
-    if x == y:
-        raise InputError("alternation needs two distinct letters")
-    last = -1
-    seen = 0
-    ok = True
-    for c in w:
-        if c == x or c == y:
-            if c == last:
-                ok = False
-            last = c
-            seen |= 1 if c == x else 2
-    if seen != 3:
-        raise InputError(f"letters {x} and {y} must both occur in the word")
-    return ok
 
 
 def graph_of_word(w: Word, n: Optional[int] = None) -> Graph:
@@ -196,10 +180,11 @@ def check_transitive(o: Orientation) -> bool:
 # ── orientation search ───────────────────────────────────────────────────
 
 
-def _backtrack(g: Graph, state: tuple, propagate, first=None) -> Optional[Orientation]:
+def _backtrack(g: Graph, state: tuple, propagate, first) -> Optional[Orientation]:
     """Orient g edge by edge in index order, backtracking on an explicit
     stack whose entries hold an edge, the state before deciding it and the
-    directions still to try.
+    directions still to try. Only the semi-transitive search backtracks;
+    `_find_transitive` decides by forcing alone.
 
     `state` is a tuple of mutable sequences: the arc out-sets first, the
     edge directions last (a bytearray, 0 open, 1 = as stored, 2 =
@@ -207,10 +192,9 @@ def _backtrack(g: Graph, state: tuple, propagate, first=None) -> Optional[Orient
     between. `propagate(i, d)` sets edge i to direction d plus everything
     that forces, and returns False on a dead state.
 
-    `first(i)`, if given, names the direction to try first at open edge i;
-    otherwise "as stored" goes first. Both directions are tried before the
-    search gives up on a decision, so the order changes which orientation
-    is found, never whether one is.
+    `first(i)` names the direction to try first at open edge i. Both
+    directions are tried before the search gives up on a decision, so the
+    order changes which orientation is found, never whether one is.
     """
     out, dirs = state[0], state[-1]
     m = len(dirs)
@@ -225,7 +209,7 @@ def _backtrack(g: Graph, state: tuple, propagate, first=None) -> Optional[Orient
             # first decision can fix one direction
             todo = [1]
         else:
-            todo = [1, 2] if first is not None and first(i) == 2 else [2, 1]
+            todo = [1, 2] if first(i) == 2 else [2, 1]
         stack.append((i, tuple(s[:] for s in state), todo))
         while not propagate(i, todo.pop()):
             while not stack[-1][2]:
@@ -361,6 +345,37 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
 
 
 def _find_transitive(g: Graph) -> Optional[Orientation]:
+    """Search for a transitive orientation of g in one forward pass with no
+    backtracking: each edge still open, in index order, is placed "as
+    stored" together with every arc that forces, and the first
+    contradiction refuses g.
+
+    Every arc the propagator adds is forced in each transitive orientation
+    that holds the arcs already placed. There are two rules. Γ: with a -> b
+    placed, an edge c, b with c not adjacent to a must be c -> b, and an
+    edge a, c with c not adjacent to b must be a -> c. Closure: a -> b -> c
+    with a adjacent to c forces a -> c. A two-chain whose ends are not
+    adjacent, or an edge wanted both ways, is a contradiction.
+
+    So after each call the placed set P is a union of whole Γ-classes
+    (implication classes), transitively closed, with no edge in both
+    directions. Gallai (1967; Golumbic, Algorithmic Graph Theory and Perfect
+    Graphs, ch. 5) describes these classes on a comparability graph through
+    its modular decomposition: at a prime node the edges between different
+    children form one class, and at a series node the edges between two
+    given children form one class. The transitive orientations are exactly
+    the independent choices of one of the two orientations at each prime
+    node and a linear order of the children at each series node. P
+    therefore fixes, for each prime node, nothing or one of its
+    orientations, and for each series node a partial order of the children
+    (transitive because P is). An open edge lies at a prime node P leaves
+    free or between two children that order leaves incomparable, so either
+    of its directions extends P to a transitive orientation, which holds
+    every arc the choice forces. On a comparability graph no choice fails
+    and no second branch is needed. Conversely, a pass that places every
+    edge without contradiction has checked each two-chain when its later
+    arc was placed, so its orientation is transitive.
+    """
     n, adj = g.n, g.adj
     edges = g.edges()
     eix = {e: i for i, e in enumerate(edges)}
@@ -400,7 +415,10 @@ def _find_transitive(g: Graph) -> Optional[Orientation]:
                 queue.append(want(c, b))
         return True
 
-    return _backtrack(g, (out, inn, dirs), propagate)
+    for i in range(len(edges)):
+        if not dirs[i] and not propagate(i, 1):
+            return None
+    return Orientation(g, tuple(out))
 
 
 # ── deciders ─────────────────────────────────────────────────────────────
@@ -501,8 +519,9 @@ def comparability_decide(g: Graph) -> tuple[bool, Certificate]:
     """Decide whether g admits a transitive orientation.
 
     Returns (True, transitive orientation) or (False, inclusion-minimal
-    vertex set inducing a non-comparability subgraph). Callers that need
-    only the verdict use `is_comparability`."""
+    vertex set inducing a non-comparability subgraph). Polynomial: the
+    search is one forcing pass, and the shrink runs one pass per vertex.
+    Callers that need only the verdict use `is_comparability`."""
     res = _decided(g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE)
     if res[1] is None:
         res = (False, Certificate(NON_COMPARABILITY, _shrink_witness(g, is_comparability)))

@@ -20,7 +20,7 @@ from wordrep import decomposition, recognition
 from wordrep.cli import main
 from wordrep.errors import InputError
 from wordrep.formats import encode_graph6, parse_graph
-from wordrep.graphs import Orientation, cycle_graph, extremal8, path_graph, wheel_graph
+from wordrep.graphs import Graph, Orientation, cycle_graph, extremal8, path_graph, wheel_graph
 from wordrep.lexops import lex_product
 from wordrep.recognition import word_represents
 
@@ -117,6 +117,22 @@ def test_check_comparability_cycle_false():
     assert d["result"]["comparability"] is False
     assert d["certificates"][0]["kind"] == "non-comparability-witness"
     assert reverify(out) == 0
+
+
+def test_check_comparability_refuses_without_backtracking():
+    # a 20-edge matching indexed before a 5-cycle: a search that backtracked
+    # would try every orientation of the matching before refusing the cycle
+    edges = [(2 * i, 2 * i + 1) for i in range(20)] + [(40 + i, 40 + (i + 1) % 5) for i in range(5)]
+    g = Graph.from_edges(45, edges)
+    proc = child(["check", "--comparability", encode_graph6(g)])
+    assert proc.returncode == 0, proc.stderr
+    d = doc(proc.stdout)
+    assert d["result"]["comparability"] is False
+    assert d["result"]["witness"] == [40, 41, 42, 43, 44]
+    assert child(["verify", "-"], stdin=proc.stdout).returncode == 0
+    # a hub over all of it has that graph as its neighbourhood
+    hub = Graph.from_edges(46, edges + [(v, 45) for v in range(45)])
+    assert not recognition.is_wr(hub)
 
 
 def test_check_minimal_wheel():

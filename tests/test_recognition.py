@@ -11,7 +11,6 @@ import pytest
 
 from conftest import random_graph
 from oracles import (
-    alternation_by_restriction,
     comparability_by_all_orientations,
     graph_by_restriction,
     semi_transitive_by_paths,
@@ -41,7 +40,6 @@ from wordrep.graphs import (
     wheel_graph,
 )
 from wordrep.recognition import (
-    alternates,
     check_semi_transitive,
     check_transitive,
     comparability_decide,
@@ -61,31 +59,6 @@ from wordrep.recognition import (
 CORPUS6 = Path(__file__).parent / "data" / "graphs6.g6"
 
 # ── words ────────────────────────────────────────────────────────────────
-
-
-def test_alternates_basics():
-    assert alternates([0, 1, 0, 1], 0, 1)
-    assert not alternates([0, 0, 1], 0, 1)
-    w = [1, 2, 1, 3, 2, 3]
-    # restriction to {1,3} is 1 1 3 3, so no alternation
-    assert alternates(w, 1, 2) is True
-    assert alternates(w, 1, 3) is False
-    assert alternates(w, 2, 3) is True
-    with pytest.raises(InputError):
-        alternates([0, 1], 0, 0)
-    with pytest.raises(InputError):
-        alternates([0, 0], 0, 1)
-
-
-def test_alternates_matches_restriction_oracle():
-    rng = random.Random(21)
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        w = [rng.randrange(n) for _ in range(rng.randint(2, 14))]
-        x, y = rng.sample(range(n), 2)
-        if not ({x, y} <= set(w)):
-            continue
-        assert alternates(w, x, y) == alternation_by_restriction(w, x, y)
 
 
 def test_graph_of_word_examples():
@@ -324,9 +297,14 @@ def _fresh_memos(monkeypatch) -> None:
     monkeypatch.setattr(recognition, "_COMP_MEMO", recognition._Memo())
 
 
-def test_predicates_match_deciders(monkeypatch):
+def _exhaustive_corpus() -> list[Graph]:
+    """Every labeled graph on at most 6 vertices and the graph6 corpus."""
     corpus = [g for n in range(7) for g in _all_labeled_graphs(n)]
-    corpus += [decode_graph6(line) for line in CORPUS6.read_text().split()]
+    return corpus + [decode_graph6(line) for line in CORPUS6.read_text().split()]
+
+
+def test_predicates_match_deciders(monkeypatch):
+    corpus = _exhaustive_corpus()
     _fresh_memos(monkeypatch)
     verdicts = [(is_wr(g), is_comparability(g)) for g in corpus]
     # the deciders start from empty memos too, so they read no predicate entry
@@ -365,8 +343,7 @@ def _verdict_corpus() -> list[Graph]:
     """Every labeled graph on at most 6 vertices, the graph6 corpus and a
     seeded sweep on 7-12 vertices."""
     rng = random.Random(20261018)
-    corpus = [g for n in range(7) for g in _all_labeled_graphs(n)]
-    corpus += [decode_graph6(line) for line in CORPUS6.read_text().split()]
+    corpus = _exhaustive_corpus()
     corpus += [random_graph(rng, n, p) for n in range(7, 13) for p in (0.3, 0.5, 0.7) for _ in range(10)]
     return corpus
 
@@ -386,9 +363,9 @@ def test_value_order_keeps_every_verdict(monkeypatch):
     corpus = _verdict_corpus()
     _fresh_memos(monkeypatch)
     found = [recognition._find_semi_transitive(g) for g in corpus]
-    # dropping the order hook tries every edge "as stored" first
+    # an order hook that always answers "as stored"
     real = recognition._backtrack
-    monkeypatch.setattr(recognition, "_backtrack", lambda g, state, propagate, first=None: real(g, state, propagate))
+    monkeypatch.setattr(recognition, "_backtrack", lambda g, state, propagate, first: real(g, state, propagate, lambda i: 1))
     _fresh_memos(monkeypatch)
     stored = [recognition._find_semi_transitive(g) for g in corpus]
     assert [o is None for o in found] == [o is None for o in stored]
@@ -404,19 +381,24 @@ def test_graphs_on_four_vertices_are_comparability():
 
 def test_neighbourhood_rule_refuses_before_searching(monkeypatch):
     searches = []
-    real = recognition._backtrack
+    real_backtrack, real_transitive = recognition._backtrack, recognition._find_transitive
 
-    def counting(g, state, propagate, *rest):
-        searches.append(propagate.__qualname__.split(".")[0])
-        return real(g, state, propagate, *rest)
+    def backtracking(g, *rest):
+        searches.append("orientation search")
+        return real_backtrack(g, *rest)
 
-    monkeypatch.setattr(recognition, "_backtrack", counting)
+    def transitive(g):
+        searches.append("comparability")
+        return real_transitive(g)
+
+    monkeypatch.setattr(recognition, "_backtrack", backtracking)
+    monkeypatch.setattr(recognition, "_find_transitive", transitive)
     _fresh_memos(monkeypatch)
     # the hub's neighbourhood holds the rim C5, which no transitive
     # orientation has
     assert not is_wr(_planted_w5(random.Random(3), 10))
-    assert "_find_semi_transitive" not in searches
-    assert "_find_transitive" in searches
+    assert "orientation search" not in searches
+    assert "comparability" in searches
 
 
 def test_comparability_decide_known_graphs(c5, p4, matching):
@@ -480,15 +462,18 @@ def test_dominating_vertex_reduction(w5, c5):
     assert check_semi_transitive(cert.payload)
 
 
-def test_dominating_vertex_agrees_with_direct_decide():
-    rng = random.Random(67)
-    for _ in range(150):
-        base = random_graph(rng, rng.randint(1, 5))
-        apex = base.n
-        edges = base.edges() + [(v, apex) for v in range(base.n)]
-        g = Graph.from_edges(base.n + 1, edges)
-        assert is_wr(g) == is_comparability(base)
-        assert wr_decide(g)[0] == comparability_decide(base)[0]
+def test_dominating_vertex_agrees_with_direct_decide(monkeypatch):
+    # g plus a vertex seeing all of it is representable iff g is a
+    # comparability graph; with every neighbourhood passing, the right side
+    # runs the semi-transitive search and not the forcing pass it checks
+    corpus = _exhaustive_corpus()
+    _fresh_memos(monkeypatch)
+    verdicts = [is_comparability(g) for g in corpus]
+    assert 0 < sum(verdicts) < len(corpus)
+    monkeypatch.setattr(recognition, "is_comparability", lambda h: True)
+    _fresh_memos(monkeypatch)
+    apexed = [Graph.from_edges(g.n + 1, g.edges() + [(v, g.n) for v in range(g.n)]) for g in corpus]
+    assert verdicts == [is_wr(h) for h in apexed]
 
 
 def test_is_minimal_non_wr(c5, w5, h8):
