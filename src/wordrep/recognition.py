@@ -11,9 +11,13 @@ The engine rests on three facts:
 * Transitive orientations are the shortcut-free orientations in which every
   reachable pair is an arc, so comparability graphs are a subclass, and if
   some vertex x sees all others then G is representable iff G - x is a
-  comparability graph. By heredity, then, every vertex's neighbourhood in a
-  representable graph induces a comparability graph, and the semi-transitive
-  search refuses a graph where one does not before it orients any edge.
+  comparability graph. So the semi-transitive search first tries the
+  polynomial comparability pass and answers every comparability graph with
+  its transitive orientation. By heredity, every vertex's neighbourhood in
+  a representable graph induces a comparability graph, and the search
+  refuses a graph where one does not before it orients any edge. Only the
+  remaining graphs backtrack, so the search is exponential only on
+  non-comparability graphs.
 
 Each search keeps a partial state and a propagator, which places an arc
 plus every direction it forces and rejects dead partial states, and walks
@@ -268,14 +272,30 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
     same tree on a non-representable graph and finds some orientation on a
     representable one.
 
-    Before any search, g is refused when some vertex x has a neighbourhood
-    N(x) that is not a comparability graph (Kitaev & Pyatkin, J. Autom.
-    Lang. Comb. 13, 2008): if g is representable, so is G[N[x]] by
-    heredity, and x dominates it, so G[N(x)] must be a comparability graph.
+    Before any search, a comparability graph is answered by `_find_transitive`
+    through `_COMP_MEMO`, where `comparability_decide` then finds it: a
+    transitive orientation is semi-transitive, and the pass finds one in
+    polynomial time. This changes no verdict, since every comparability
+    graph is representable and the search below finds an orientation
+    exactly when one exists. Witnesses are shrunk by verdicts, and μ, η and
+    cover edge sets depend on verdicts alone, so none of them changes
+    either. A graph the pass refuses gets the orientation the steps below
+    find, as it would without the pass; a comparability graph gets the
+    pass's transitive orientation, which may differ from the search's, and
+    so may its word.
+
+    Next, g is refused when some vertex x has a neighbourhood N(x) that is
+    not a comparability graph (Kitaev & Pyatkin, J. Autom. Lang. Comb. 13,
+    2008): if g is representable, so is G[N[x]] by heredity, and x
+    dominates it, so G[N(x)] must be a comparability graph. The rule never
+    refuses a comparability graph, which the pass has answered already.
     Neighbourhoods of at most 4 vertices or without an edge are skipped:
     every graph on at most 4 vertices is a comparability graph, and so is
     every edgeless one.
     """
+    ok, cert = _decided(g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE)
+    if ok:
+        return cert.payload
     n, adj = g.n, g.adj
     for x in range(n):
         nb = adj[x]
@@ -503,7 +523,9 @@ def wr_decide(g: Graph) -> tuple[bool, Certificate]:
     """Decide word-representability.
 
     Returns (True, semi-transitive orientation) or (False, inclusion-minimal
-    vertex set whose induced subgraph is non-representable). Worst case is
+    vertex set whose induced subgraph is non-representable). A
+    comparability graph is answered in polynomial time by the forcing pass
+    with a transitive orientation. On other graphs the worst case is
     exponential in the edge count; fine for the graph sizes the rest of the
     package feeds it (factors, supervertices, witnesses). Callers
     that need only the verdict use `is_wr`, which skips the shrinking.

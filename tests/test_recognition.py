@@ -257,8 +257,8 @@ def test_deep_sparse_inputs_decide():
     g = path_graph(1100)
     ok, cert = wr_decide(g)
     assert ok and check_semi_transitive(cert.payload)
-    # least growth makes every vertex a source or a sink; trying "as
-    # stored" first would build the chain 0 -> 1 -> ... -> 1099
+    # a path is a comparability graph, and the forcing pass alternates its
+    # arcs, so every vertex is a source or a sink
     out = cert.payload.out
     assert all(out[b] == 0 for a in range(g.n) for b in bits(out[a]))
     rng = random.Random(12)
@@ -359,8 +359,18 @@ def test_neighbourhood_rule_keeps_every_verdict(monkeypatch):
     assert verdicts == [is_wr(g) for g in corpus]
 
 
+def _without_forcing_pass(monkeypatch) -> None:
+    """Answer no graph by the comparability pass in `_find_semi_transitive`,
+    while the neighbourhood rule still decides comparability with it."""
+    real = recognition._find_transitive
+    monkeypatch.setattr(recognition, "is_comparability", lambda h: real(h) is not None)
+    monkeypatch.setattr(recognition, "_find_transitive", lambda h: None)
+
+
 def test_value_order_keeps_every_verdict(monkeypatch):
     corpus = _verdict_corpus()
+    # comparability graphs would skip the search, and with it the order
+    _without_forcing_pass(monkeypatch)
     _fresh_memos(monkeypatch)
     found = [recognition._find_semi_transitive(g) for g in corpus]
     # an order hook that always answers "as stored"
@@ -374,31 +384,74 @@ def test_value_order_keeps_every_verdict(monkeypatch):
     assert any(a != b for a, b in zip(found, stored))
 
 
+def test_forcing_pass_keeps_every_verdict(monkeypatch):
+    corpus = _verdict_corpus()
+
+    def orientations() -> list:
+        _fresh_memos(monkeypatch)
+        return [wr_decide(g)[1].payload if is_wr(g) else None for g in corpus]
+
+    passed = orientations()
+    comparable = [is_comparability(g) for g in corpus]
+    _without_forcing_pass(monkeypatch)
+    searched = orientations()
+    assert [o is None for o in passed] == [o is None for o in searched]
+    assert 0 < sum(comparable) < sum(o is not None for o in passed)
+    changed = 0
+    for comp, o, o_searched in zip(comparable, passed, searched):
+        if comp:
+            assert check_transitive(o)
+            changed += o != o_searched
+        else:
+            assert o == o_searched
+    assert changed
+
+
+def _record_searches(monkeypatch) -> tuple[list, list]:
+    """Fresh memos, and two lists that record the graphs handed to
+    `_backtrack` and to `_find_transitive`."""
+    searched, decided = [], []
+    real_backtrack, real_transitive = recognition._backtrack, recognition._find_transitive
+
+    def backtracking(g, *rest):
+        searched.append(g)
+        return real_backtrack(g, *rest)
+
+    def transitive(g):
+        decided.append(g)
+        return real_transitive(g)
+
+    monkeypatch.setattr(recognition, "_backtrack", backtracking)
+    monkeypatch.setattr(recognition, "_find_transitive", transitive)
+    _fresh_memos(monkeypatch)
+    return searched, decided
+
+
+def test_comparability_graphs_never_backtrack(monkeypatch, matching):
+    searched, decided = _record_searches(monkeypatch)
+    for g in (path_graph(1100), matching):
+        ok, cert = wr_decide(g)
+        assert ok and check_transitive(cert.payload)
+        # the orientation is held in the comparability memo as well
+        assert comparability_decide(g) == (True, Certificate(TRANSITIVE, cert.payload))
+    assert searched == []
+    assert decided == [path_graph(1100), matching]
+
+
 def test_graphs_on_four_vertices_are_comparability():
     # why `_find_semi_transitive` skips neighbourhoods this small
     assert all(comparability_by_all_orientations(g) for n in range(5) for g in _all_labeled_graphs(n))
 
 
 def test_neighbourhood_rule_refuses_before_searching(monkeypatch):
-    searches = []
-    real_backtrack, real_transitive = recognition._backtrack, recognition._find_transitive
-
-    def backtracking(g, *rest):
-        searches.append("orientation search")
-        return real_backtrack(g, *rest)
-
-    def transitive(g):
-        searches.append("comparability")
-        return real_transitive(g)
-
-    monkeypatch.setattr(recognition, "_backtrack", backtracking)
-    monkeypatch.setattr(recognition, "_find_transitive", transitive)
-    _fresh_memos(monkeypatch)
+    searched, decided = _record_searches(monkeypatch)
     # the hub's neighbourhood holds the rim C5, which no transitive
-    # orientation has
-    assert not is_wr(_planted_w5(random.Random(3), 10))
-    assert "orientation search" not in searches
-    assert "comparability" in searches
+    # orientation has; the host fails the comparability pass first
+    host = _planted_w5(random.Random(3), 10)
+    assert not is_wr(host)
+    assert searched == []
+    assert decided[0] == host
+    assert any(g.n < host.n for g in decided)
 
 
 def test_comparability_decide_known_graphs(c5, p4, matching):
@@ -464,13 +517,15 @@ def test_dominating_vertex_reduction(w5, c5):
 
 def test_dominating_vertex_agrees_with_direct_decide(monkeypatch):
     # g plus a vertex seeing all of it is representable iff g is a
-    # comparability graph; with every neighbourhood passing, the right side
-    # runs the semi-transitive search and not the forcing pass it checks
+    # comparability graph; with every neighbourhood passing and the pass
+    # answering no graph, the right side runs the semi-transitive search
+    # and not the forcing pass it checks
     corpus = _exhaustive_corpus()
     _fresh_memos(monkeypatch)
     verdicts = [is_comparability(g) for g in corpus]
     assert 0 < sum(verdicts) < len(corpus)
     monkeypatch.setattr(recognition, "is_comparability", lambda h: True)
+    monkeypatch.setattr(recognition, "_find_transitive", lambda h: None)
     _fresh_memos(monkeypatch)
     apexed = [Graph.from_edges(g.n + 1, g.edges() + [(v, g.n) for v in range(g.n)]) for g in corpus]
     assert verdicts == [is_wr(h) for h in apexed]
