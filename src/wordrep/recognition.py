@@ -37,17 +37,22 @@ orientation is found, never the verdict.
 
 Each property has a predicate (`is_wr`, `is_comparability`) that returns
 the verdict alone, and a decider (`wr_decide`, `comparability_decide`) that
-adds a certificate. Both keep the orientation a successful search finds. A
-failing graph is shrunk to an inclusion-minimal induced subgraph that still
-fails only when a decider asks for that certificate, and the shrink decides
-its candidates with the predicate. Results are memoized by graph value, up
-to a fixed total of vertices, and a witness found later is added to the
-graph's entry in place.
+adds a certificate. Both keep the orientation a successful search finds,
+and a transitive one is re-checked by one closure test. A failing graph
+gets an inclusion-minimal failing vertex set only when a decider asks for
+that certificate. For representability, a vertex whose neighbourhood is
+not a comparability graph gives it: the vertex plus the non-comparability
+witness found in that neighbourhood (a cone), or a greedy shrink of that
+witness when it already fails alone, once the set is small enough for
+`verify` to re-decide. Otherwise, and for comparability, the whole failing
+graph is shrunk greedily, deciding each candidate with the predicate.
+Results are memoized by graph value, up to a fixed total of vertices, and
+a witness found later is added to the graph's entry in place.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .certificates import (
     NON_COMPARABILITY,
@@ -140,13 +145,21 @@ def check_semi_transitive(o: Orientation) -> bool:
     """Decide in polynomial time whether an orientation is acyclic with no
     shortcut.
 
-    For each arc u -> v let M be every vertex on some directed u-to-v path
-    (reach(u) intersected with coreach(v)). Any path between two members of
-    M stays inside M, so the orientation has a shortcut through u -> v
-    exactly when some ordered pair a, b in M has a path a to b but no arc
-    a -> b. Scanning all arcs this way is equivalent to quantifying over
+    A transitive orientation passes at once, after one closure test. It is
+    acyclic (see `check_transitive`), and on a directed path v1 -> ... -> vk
+    induction on j - i makes every pair vi -> vj with i < j an arc, so no
+    path misses an inner pair. Every comparability certificate costs only
+    that test.
+
+    Otherwise, for each arc u -> v let M be every vertex on some directed
+    u-to-v path (reach(u) intersected with coreach(v)). Any path between two
+    members of M stays inside M, so the orientation has a shortcut through
+    u -> v exactly when some ordered pair a, b in M has a path a to b but no
+    arc a -> b. Scanning all arcs this way is equivalent to quantifying over
     all directed paths.
     """
+    if check_transitive(o):
+        return True
     n = o.host.n
     out = o.out
     order = _topo_order(out, n)
@@ -169,9 +182,12 @@ def check_semi_transitive(o: Orientation) -> bool:
 def check_transitive(o: Orientation) -> bool:
     """True iff arcs compose: a -> b and b -> c always implies a -> c.
 
-    The pairwise containment test also rejects directed cycles (on a cycle
-    some out-set fails to contain its successor's), so passing orientations
-    are partial orders and in particular semi-transitive.
+    The pairwise containment test also rejects directed cycles: along a
+    passing cycle every out-set would contain its successor's, so all would
+    be equal, and the vertex the cycle closes on would be its own
+    out-neighbour, which an orientation of a simple graph never is. So
+    passing orientations are partial orders and in particular
+    semi-transitive.
     """
     out = o.out
     for u in range(o.host.n):
@@ -277,31 +293,22 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
     transitive orientation is semi-transitive, and the pass finds one in
     polynomial time. This changes no verdict, since every comparability
     graph is representable and the search below finds an orientation
-    exactly when one exists. Witnesses are shrunk by verdicts, and μ, η and
-    cover edge sets depend on verdicts alone, so none of them changes
-    either. A graph the pass refuses gets the orientation the steps below
-    find, as it would without the pass; a comparability graph gets the
-    pass's transitive orientation, which may differ from the search's, and
-    so may its word.
+    exactly when one exists. Witnesses are built from verdicts and
+    comparability witnesses, and μ, η and cover edge sets depend on verdicts
+    alone, so none of them changes either. A graph the pass refuses gets the
+    orientation the steps below find, as it would without the pass; a
+    comparability graph gets the pass's transitive orientation, which may
+    differ from the search's, and so may its word.
 
-    Next, g is refused when some vertex x has a neighbourhood N(x) that is
-    not a comparability graph (Kitaev & Pyatkin, J. Autom. Lang. Comb. 13,
-    2008): if g is representable, so is G[N[x]] by heredity, and x
-    dominates it, so G[N(x)] must be a comparability graph. The rule never
-    refuses a comparability graph, which the pass has answered already.
-    Neighbourhoods of at most 4 vertices or without an edge are skipped:
-    every graph on at most 4 vertices is a comparability graph, and so is
-    every edgeless one.
+    Next, g is refused when some vertex refuses it by the neighbourhood rule
+    (`_refusals`), which never refuses a comparability graph.
     """
     ok, cert = _decided(g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE)
     if ok:
         return cert.payload
+    if next(_refusals(g), None) is not None:
+        return None
     n, adj = g.n, g.adj
-    for x in range(n):
-        nb = adj[x]
-        if nb.bit_count() > 4 and any(adj[y] & nb for y in bits(nb)):
-            if not is_comparability(induced_subgraph(g, bits(nb))):
-                return None
     edges = g.edges()
     eix = {e: i for i, e in enumerate(edges)}
     out = [0] * n
@@ -362,6 +369,26 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
         return 2 if grow_vu < grow_uv else 1
 
     return _backtrack(g, (out, reach, anc, dirs), propagate, first)
+
+
+def _refusals(g: Graph) -> Iterator[tuple[int, list[int]]]:
+    """Each vertex x, in index order, whose neighbourhood N(x) is not a
+    comparability graph, with N(x) in increasing order.
+
+    Such an x refuses g (Kitaev & Pyatkin, J. Autom. Lang. Comb. 13, 2008):
+    if g is representable, so is G[N[x]] by heredity, and x dominates it, so
+    G[N(x)] must be a comparability graph. No vertex refuses a comparability
+    graph. Neighbourhoods of at most 4 vertices or without an edge are
+    skipped: every graph on at most 4 vertices is a comparability graph, and
+    so is every edgeless one.
+    """
+    adj = g.adj
+    for x in range(g.n):
+        nb = adj[x]
+        if nb.bit_count() > 4 and any(adj[y] & nb for y in bits(nb)):
+            hood = list(bits(nb))
+            if not is_comparability(induced_subgraph(g, hood)):
+                yield x, hood
 
 
 def _find_transitive(g: Graph) -> Optional[Orientation]:
@@ -519,20 +546,51 @@ def is_comparability(g: Graph) -> bool:
     return _decided(g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE)[0]
 
 
+def _wr_witness(g: Graph) -> tuple[int, ...]:
+    """An inclusion-minimal non-representable vertex set of the
+    non-representable graph g, of at most `_WITNESS_CAP` vertices where a
+    refusing vertex allows it.
+
+    For a vertex x that refuses g (`_refusals`), let S be the
+    non-comparability witness `comparability_decide` finds inside N(x).
+    Then x dominates G[S], so the cone S + x is not representable. If G[S]
+    is representable, the cone is inclusion-minimal: dropping x leaves
+    G[S], and dropping s from S leaves x over G[S - s], a comparability
+    graph by S's minimality, which a dominating vertex keeps representable.
+    Otherwise G[S] fails on its own and is shrunk greedily. The first x
+    whose witness fits `_WITNESS_CAP`, so that `verify` can re-decide it,
+    gives the witness; with no such x, the whole graph is shrunk greedily.
+    """
+    for x, hood in _refusals(g):
+        s = [hood[i] for i in comparability_decide(induced_subgraph(g, hood))[1].payload]
+        core = induced_subgraph(g, s)
+        if is_wr(core):
+            witness = tuple(sorted(s + [x]))
+        else:
+            witness = tuple(s[i] for i in _shrink_witness(core, is_wr))
+        if len(witness) <= _WITNESS_CAP:
+            return witness
+    return _shrink_witness(g, is_wr)
+
+
 def wr_decide(g: Graph) -> tuple[bool, Certificate]:
     """Decide word-representability.
 
     Returns (True, semi-transitive orientation) or (False, inclusion-minimal
     vertex set whose induced subgraph is non-representable). A
     comparability graph is answered in polynomial time by the forcing pass
-    with a transitive orientation. On other graphs the worst case is
-    exponential in the edge count; fine for the graph sizes the rest of the
-    package feeds it (factors, supervertices, witnesses). Callers
-    that need only the verdict use `is_wr`, which skips the shrinking.
+    with a transitive orientation, which the re-check accepts with one
+    closure test. On other graphs the worst case is exponential in the edge
+    count; fine for the graph sizes the rest of the package feeds it
+    (factors, supervertices, witnesses). A failing graph with a vertex
+    whose neighbourhood is not a comparability graph gets that vertex's
+    cone as its witness (`_wr_witness`), found without shrinking the whole
+    graph. Callers that need only the verdict use `is_wr`, which builds no
+    witness.
     """
     res = _decided(g, _WR_MEMO, _find_semi_transitive, check_semi_transitive, SEMI_TRANSITIVE)
     if res[1] is None:
-        res = (False, Certificate(WITNESS, _shrink_witness(g, is_wr)))
+        res = (False, Certificate(WITNESS, _wr_witness(g)))
         _WR_MEMO.keep(g, res)
     return res
 

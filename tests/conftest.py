@@ -67,6 +67,20 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """A list that records the first argument of every call to the function
+    `owner.name` while the test runs."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(first, *rest):
+        calls.append(first)
+        return real(first, *rest)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def lex_product_missing_a_cross_edge(g1: Graph, g2: Graph) -> LexProduct:
     """lex_product with one cross edge left out: for the first edge (i, j)
     of g1, the second vertex of block i loses its edge to the first vertex

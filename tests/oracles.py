@@ -3,8 +3,8 @@
 Everything here recomputes properties straight from their definitions with
 no shared code or cleverness: restrictions are built letter by letter,
 shortcut-freeness is quantified over explicitly enumerated directed paths,
-recognition is decided by trying every orientation. Only usable on tiny
-inputs, which is the point.
+recognition is decided by trying every orientation or every vertex order.
+Only usable on tiny inputs, which is the point.
 """
 
 from __future__ import annotations
@@ -97,6 +97,34 @@ def wr_by_all_orientations(g: Graph) -> bool:
     return any(
         semi_transitive_by_paths(g.n, arcs) for arcs in all_orientations(g)
     )
+
+
+def wr_by_vertex_orders(g: Graph) -> bool:
+    """Representability by orienting each edge from the earlier end to the
+    later in every vertex order, grown one vertex at a time. Every acyclic
+    orientation comes from some order, and a prefix whose orientation has a
+    shortcut or cycle is dropped with all its extensions, since a path
+    inside the prefix is a path in the whole. A dropped prefix is
+    remembered by its vertex set and arcs, which fix what can follow."""
+    dead = set()
+
+    def extend(order):
+        if len(order) == g.n:
+            return True
+        for v in range(g.n):
+            if v in order:
+                continue
+            nxt = order + [v]
+            arcs = [(a, b) for i, a in enumerate(nxt) for b in nxt[i + 1:] if g.has_edge(a, b)]
+            key = (frozenset(nxt), frozenset(arcs))
+            if key in dead:
+                continue
+            if semi_transitive_by_paths(g.n, arcs) and extend(nxt):
+                return True
+            dead.add(key)
+        return False
+
+    return extend([])
 
 
 def comparability_by_all_orientations(g: Graph) -> bool:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import record_calls
 import wordrep
 from wordrep import decomposition, recognition
 from wordrep.cli import main
@@ -588,15 +589,39 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"]["wr"] is True
 
 
-def test_check_wr_decides_the_64_vertex_power():
-    power = child(["lex", "power", H8, "--k", "2", "--format", "g6"])
-    assert power.returncode == 0
-    proc = child(["check", "--wr", "-"], stdin=power.stdout)
-    assert proc.returncode == 0
-    d = doc(proc.stdout)
-    assert d["host"] == power.stdout.strip() and d["result"]["wr"] is False
-    assert len(d["result"]["witness"]) <= 10
-    assert child(["verify", "-"], stdin=proc.stdout).returncode == 0
+def test_check_wr_decides_the_64_vertex_power(monkeypatch):
+    # vertex 0 refuses the power: its neighbourhood holds a 5-vertex
+    # non-comparability set, which with 0 is the witness, so the greedy
+    # shrink never runs on the 64-vertex graph
+    code, power, _ = run(["lex", "power", H8, "--k", "2", "--format", "g6"])
+    assert code == 0
+    host = parse_graph(power.strip())
+    assert host.n == 64
+    shrunk = record_calls(monkeypatch, recognition, "_shrink_witness")
+    monkeypatch.setattr(recognition, "_WR_MEMO", recognition._Memo())
+    monkeypatch.setattr(recognition, "_COMP_MEMO", recognition._Memo())
+    code, out, _ = run(["check", "--wr", "-"], stdin=power)
+    assert code == 0
+    d = doc(out)
+    assert d["host"] == power.strip()
+    assert d["result"] == {"wr": False, "witness": [0, 42, 43, 44, 45, 46]}
+    assert host not in shrunk
+    assert reverify(out) == 0
+
+
+def test_check_wr_witness_fits_the_verify_cap():
+    # W11 with its hub indexed first, plus a disjoint W5: the hub's cone is
+    # all 12 vertices of W11, past what `verify` re-decides, so the witness
+    # comes from the W5's hub
+    w11 = [(0, i) for i in range(1, 12)] + [(i, i % 11 + 1) for i in range(1, 12)]
+    w5 = [(u + 12, v + 12) for u, v in wheel_graph(5).edges()]
+    host = encode_graph6(Graph.from_edges(18, w11 + w5))
+    code, out, _ = run(["check", "--wr", host])
+    assert code == 0
+    d = doc(out)
+    assert d["result"]["wr"] is False
+    assert len(d["result"]["witness"]) <= recognition._WITNESS_CAP
+    assert reverify(out) == 0
 
 
 def test_closed_stdout_exits_141_without_traceback():

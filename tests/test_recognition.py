@@ -9,12 +9,13 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, record_calls
 from oracles import (
     comparability_by_all_orientations,
     graph_by_restriction,
     semi_transitive_by_paths,
     wr_by_all_orientations,
+    wr_by_vertex_orders,
 )
 from wordrep import recognition
 from wordrep.certificates import (
@@ -221,15 +222,6 @@ def test_wr_decide_known_graphs(c5, w5, h8, matching):
     assert len(cert.payload) <= 7
 
 
-def test_wr_witness_is_minimal(w5, h8):
-    for g in (w5, h8):
-        witness = wr_decide(g)[1].payload
-        assert not wr_decide(induced_subgraph(g, witness))[0]
-        for drop in range(len(witness)):
-            rest = witness[:drop] + witness[drop + 1:]
-            assert wr_decide(induced_subgraph(g, rest))[0]
-
-
 def test_wr_decide_matches_brute_force():
     for n in range(5):
         for bitsn in range(1 << (n * (n - 1) // 2)):
@@ -318,25 +310,47 @@ def _planted_w5(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, wheel_graph(5).edges() + extra)
 
 
+def test_wr_witness_is_minimal(w5, h8):
+    # the non-representable graphs on at most 6 vertices, the one in the
+    # graph6 corpus, planted wheels on 7-13 vertices, and a graph whose
+    # refusing neighbourhood holds a non-comparability witness that is not
+    # representable by itself, so a cone over it would not be minimal; a
+    # brute-force oracle judges every witness, so it shares no code with
+    # the cone
+    rng = random.Random(20261019)
+    failing = [g for g in _exhaustive_corpus() if not is_wr(g)]
+    assert len(failing) == 73
+    failing += [w5, h8, decode_graph6("HnjNv~J")]
+    failing += [_planted_w5(rng, n) for n in range(7, 14) for _ in range(2)]
+    for g in failing:
+        witness = wr_decide(g)[1].payload
+        assert len(witness) <= recognition._WITNESS_CAP
+        assert not wr_by_vertex_orders(induced_subgraph(g, witness))
+        for drop in range(len(witness)):
+            rest = witness[:drop] + witness[drop + 1:]
+            assert wr_by_vertex_orders(induced_subgraph(g, rest))
+
+
+def test_vertex_order_oracle_matches_all_orientations():
+    rng = random.Random(29)
+    graphs = [random_graph(rng, rng.randint(1, 6), rng.choice((0.3, 0.5, 0.7, 0.9))) for _ in range(300)]
+    graphs += [wheel_graph(5), cycle_graph(5)]
+    assert [wr_by_vertex_orders(g) for g in graphs] == [wr_by_all_orientations(g) for g in graphs]
+
+
 def test_verdict_only_callers_shrink_no_witness(monkeypatch, w5):
-    shrunk = []
-    real = recognition._shrink_witness
-
-    def counting(g, *args, **kwargs):
-        shrunk.append(g)
-        return real(g, *args, **kwargs)
-
-    monkeypatch.setattr(recognition, "_shrink_witness", counting)
+    built = record_calls(monkeypatch, recognition, "_wr_witness")
+    shrunk = record_calls(monkeypatch, recognition, "_shrink_witness")
     planted = _planted_w5(random.Random(3), 10)
     _fresh_memos(monkeypatch)
     assert mu_exact(w5).value == 2
     _fresh_memos(monkeypatch)
     assert not is_minimal_non_wr(planted)
-    assert shrunk == []
-    # a certificate asked for is shrunk once, deciding its candidates
-    # without shrinking them in turn
+    assert built == shrunk == []
+    # a certificate asked for is built once, deciding its candidates
+    # without building witnesses for them in turn
     assert not wr_decide(planted)[0]
-    assert shrunk == [planted]
+    assert built == [planted]
 
 
 def _verdict_corpus() -> list[Graph]:
@@ -410,19 +424,8 @@ def test_forcing_pass_keeps_every_verdict(monkeypatch):
 def _record_searches(monkeypatch) -> tuple[list, list]:
     """Fresh memos, and two lists that record the graphs handed to
     `_backtrack` and to `_find_transitive`."""
-    searched, decided = [], []
-    real_backtrack, real_transitive = recognition._backtrack, recognition._find_transitive
-
-    def backtracking(g, *rest):
-        searched.append(g)
-        return real_backtrack(g, *rest)
-
-    def transitive(g):
-        decided.append(g)
-        return real_transitive(g)
-
-    monkeypatch.setattr(recognition, "_backtrack", backtracking)
-    monkeypatch.setattr(recognition, "_find_transitive", transitive)
+    searched = record_calls(monkeypatch, recognition, "_backtrack")
+    decided = record_calls(monkeypatch, recognition, "_find_transitive")
     _fresh_memos(monkeypatch)
     return searched, decided
 
