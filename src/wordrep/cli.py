@@ -22,8 +22,12 @@ orientations plus the certified lower bound and its witness set.
 
 `verify` re-checks every record against the embedded host: orientations and
 words in polynomial time, witness sets by deciding only the induced subgraph
-they name, on at most 10 vertices (a larger one exits 3). It never re-derives
-the host-level answer.
+they name. A non-comparability witness is decided in polynomial time at any
+size. A non-representable witness is decided on at most 10 vertices; a
+larger one verifies when one of its vertices has a non-comparability
+neighbourhood inside it, and otherwise exits 3. It never re-derives the
+host-level answer. Every record is checked, and a cap hit in one exits 3
+only when no record failed.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 the search
 budget ran out before the answer was known, 4 internal error (a broken
@@ -263,26 +267,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         label = "check --minimal"
         ok = is_minimal_non_wr(g)
         result = {"minimal_non_wr": ok}
-        if ok:
-            # The host itself is non-representable and every one-vertex
-            # deletion is representable; record both halves.
-            recs.append({"kind": WITNESS, "vertices": list(range(g.n))})
+        # an orientation, or an inclusion-minimal witness: the whole host
+        # when it is minimal, and a proper subset when it is not
+        recs.append(_cert_record(wr_decide(g)[1]))
+        if ok:  # then every one-vertex deletion is representable
             for v in range(g.n):
                 rest = tuple(u for u in range(g.n) if u != v)
                 _, sub_cert = wr_decide(induced_subgraph(g, rest))
                 recs.append(_cert_record(sub_cert, scope=rest))
-        else:
-            wr_ok, cert = wr_decide(g)
-            if wr_ok:
-                recs.append(_cert_record(cert))
-            else:
-                for v in range(g.n):
-                    rest = tuple(u for u in range(g.n) if u != v)
-                    sub_ok, sub_cert = wr_decide(induced_subgraph(g, rest))
-                    if not sub_ok:
-                        core = [rest[i] for i in sub_cert.payload]
-                        recs.append({"kind": WITNESS, "vertices": core})
-                        break
     else:
         label = "check --wr"
         ok, cert = wr_decide(g)
@@ -310,16 +302,8 @@ def cmd_mu(args: argparse.Namespace) -> int:
     if r.status == "unknown":
         _emit(_document(g, "mu", {"mu": None, "status": "unknown"}, [], t0))
         return 3
-    # The parts certify the upper bound. The certified lower bound is the
-    # non-representable core when there is one; exactness above two rests on
-    # the exhausted search and is reported in `status`, not as a certificate.
-    bound, witness = 1, None
-    if r.value >= 2:
-        _, wc = wr_decide(g)
-        bound, witness = 2, wc.payload
-    d = Decomposition(g, r.parts, "search", bound, witness)
     result = {"mu": r.value, "status": r.status, "parts": len(r.parts)}
-    _emit(_document(g, "mu", result, [_decomposition_record(d)], t0))
+    _emit(_document(g, "mu", result, [_decomposition_record(as_decomposition(g, r))], t0))
     return 0
 
 
@@ -474,11 +458,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not isinstance(certs, list):
         raise InputError("certificates must be a list")
     failures: list[str] = []
+    cut: Optional[BudgetExceeded] = None
     for i, rec in enumerate(certs):
         if not isinstance(rec, dict):
             failures.append(f"certificate {i}: record is not an object")
             continue
-        failures += [f"certificate {i}: {m}" for m in _check_record(host, rec)]
+        try:
+            failures += [f"certificate {i}: {m}" for m in _check_record(host, rec)]
+        except BudgetExceeded as e:
+            cut = cut or e
+    if cut and not failures:
+        raise cut  # a definite failure in any record wins over a hit cap
     out: dict = {"valid": not failures}
     if failures:
         out["failures"] = failures

@@ -35,6 +35,7 @@ from typing import Iterable, Optional, Sequence
 from .certificates import (
     SEMI_TRANSITIVE,
     TRANSITIVE,
+    WITNESS,
     Certificate,
     Decomposition,
     Part,
@@ -64,6 +65,7 @@ from .recognition import (
     is_comparability,
     is_minimal_non_wr,
     is_wr,
+    verify_certificate,
     verify_decomposition,
     wr_decide,
 )
@@ -83,14 +85,16 @@ __all__ = [
 ]
 
 def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
-    """Wrap an exact-search cover result as a Decomposition of g. An exact
-    count of two or more is carried over as a certified lower bound, with
-    the whole vertex set as its inducing witness."""
+    """Wrap a cover search result as a Decomposition of g. The parts certify
+    the upper bound. A count of two or more means g is not representable,
+    which certifies the lower bound 2 with `wr_decide`'s inclusion-minimal
+    witness; exactness above 2 rests on the exhausted search and is not
+    carried as a certificate."""
     if r.value is None:
         raise InputError("cover result has no parts to wrap")
     bound, witness = 1, None
-    if r.exact and r.value >= 2:
-        bound, witness = r.value, tuple(range(g.n))
+    if r.value >= 2:
+        bound, witness = 2, wr_decide(g)[1].payload
     return Decomposition(g, tuple(r.parts), provenance, bound, witness)
 
 
@@ -257,7 +261,13 @@ def decompose_product_general(
 ) -> Decomposition:
     """Cover a composition with k1 + k2 parts given covers of the factors:
     each outer part becomes a lifted map, each inner part is copied into
-    every supervertex."""
+    every supervertex.
+
+    The lower bound 2 comes from a cone when there is one: a supervertex
+    plus a cross neighbour, which refuses it when the inner factor is not a
+    comparability graph, so `verify` confirms it in polynomial time at any
+    size. Otherwise a non-representable factor's own witness is placed in
+    the first supervertex, or on the supervertices' first vertices."""
     g1, g2 = p.outer, p.inner
     if d1.host != g1 or d2.host != g2:
         raise InputError("factor covers must live on the product's factors")
@@ -269,12 +279,12 @@ def decompose_product_general(
         [_oriented(part, g2.n) for part in d2.parts],
     )
     bound, witness = 1, None
-    if not is_wr(g2):
-        bound, witness = 2, tuple(p.structure.supervertex(0))
-    elif g1.edge_count() and not is_comparability(g2):
+    if g1.edge_count() and not is_comparability(g2):
         bound, witness = 2, supervertex_witness(p.structure, g1)
+    elif not is_wr(g2):
+        bound, witness = 2, tuple(p.structure.flat(0, a) for a in wr_decide(g2)[1].payload)
     elif not is_wr(g1):
-        bound, witness = 2, tuple(p.structure.flat(i, 0) for i in range(g1.n))
+        bound, witness = 2, tuple(p.structure.flat(i, 0) for i in wr_decide(g1)[1].payload)
     return Decomposition(p.graph, _parts(parts), "product-general", bound, witness)
 
 
@@ -311,7 +321,7 @@ def decompose_product_tight(
         bound = min(k1, d1.lower_bound)
         witness = tuple(p.structure.flat(i, 0) for i in d1.lower_bound_witness)
     elif k1 >= 2 and not is_wr(g1):
-        bound, witness = 2, tuple(p.structure.flat(i, 0) for i in range(g1.n))
+        bound, witness = 2, tuple(p.structure.flat(i, 0) for i in wr_decide(g1)[1].payload)
     return Decomposition(p.graph, _parts(parts), "product-tight", bound, witness)
 
 
@@ -402,25 +412,25 @@ _LOWER_BOUND_BUDGET = 1_000
 def verify_lower_bound(d: Decomposition) -> list[str]:
     """Diagnostics for the cover's claimed lower bound; empty means it
     holds. A bound of 2 needs a witness set inducing a non-representable
-    subgraph. A higher bound b needs a witness on which the cover search
-    finds no cover by 2, ..., b - 1 parts; that search raises
-    BudgetExceeded when the witness is larger than `_WITNESS_CAP` or a
-    part count uses up `_LOWER_BOUND_BUDGET` assignments."""
+    subgraph, checked by `verify_certificate` as a witness record is. A
+    higher bound b also needs the cover search to find no cover of the
+    witness by 2, ..., b - 1 parts; that search raises BudgetExceeded when
+    the witness is larger than `_WITNESS_CAP` or a part count uses up
+    `_LOWER_BOUND_BUDGET` assignments."""
     if d.lower_bound <= 1:
         return []
     if d.lower_bound_witness is None:
         return ["lower bound above 1 has no witness"]
     vs = d.lower_bound_witness
-    if len(set(vs)) != len(vs) or any(not 0 <= v < d.host.n for v in vs):
-        return ["witness is not a set of host vertices"]
-    if d.lower_bound > 2 and len(vs) > _WITNESS_CAP:
+    diags = verify_certificate(d.host, Certificate(WITNESS, tuple(vs)))
+    if diags or d.lower_bound == 2:
+        return diags
+    if len(vs) > _WITNESS_CAP:
         raise BudgetExceeded(
             f"a lower bound above 2 is re-searched only on witnesses of at most "
             f"{_WITNESS_CAP} vertices, this one has {len(vs)}"
         )
     sub = induced_subgraph(d.host, vs)
-    if is_wr(sub):
-        return ["witness induces a representable subgraph"]
     for k in range(2, d.lower_bound):
         if _cover_search(sub, k, _LOWER_BOUND_BUDGET) is not None:
             return [f"witness subgraph needs only {k} parts"]
@@ -428,5 +438,14 @@ def verify_lower_bound(d: Decomposition) -> list[str]:
 
 
 def decomposition_diagnostics(d: Decomposition) -> list[str]:
-    return verify_decomposition(d.host, d) + verify_lower_bound(d)
+    """The parts' diagnostics plus the lower bound's. A failing part wins
+    over a lower-bound check that runs out of budget: BudgetExceeded is
+    raised only when the parts verify."""
+    diags = verify_decomposition(d.host, d)
+    try:
+        return diags + verify_lower_bound(d)
+    except BudgetExceeded:
+        if diags:
+            return diags
+        raise
 

@@ -1,13 +1,11 @@
-"""Maximum representable sets, their minimum over all graphs of a size, and
-the structural step of the iterated-power bound.
+"""Maximum representable sets and the structural step of the iterated-power
+bound.
 
 A representable set is a vertex set whose induced subgraph is
 word-representable; eta(g) is the largest size of one. Because the property
 is hereditary, failing sets are upward-closed: the search descends from the
 full vertex set and remembers minimal failing sets, skipping any candidate
-containing one. tau(n) is the minimum of eta over all n-vertex graphs — the
-corpus of graphs is the caller's to supply beyond the sizes where labeled
-enumeration is feasible in-process.
+containing one.
 
 `verify_power_bound` checks the two structural facts that drive the bound
 eta(g^[k]) <= cap^k when no (cap+1)-subset of g is representable: each
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .certificates import Certificate
 from .errors import InputError, InternalError
@@ -36,7 +34,6 @@ __all__ = [
     "PowerBoundReport",
     "eta",
     "verify_no_wr_subgraph",
-    "tau_exhaustive",
     "verify_power_bound",
 ]
 
@@ -96,41 +93,6 @@ def verify_no_wr_subgraph(g: Graph, s: int) -> bool:
     return not any(
         is_wr(induced_subgraph(g, cand)) for cand in combinations(range(g.n), s)
     )
-
-
-def _all_labeled_graphs(n: int) -> Iterator[Graph]:
-    pairs = list(combinations(range(n), 2))
-    for sel in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
-
-
-def tau_exhaustive(n: int, corpus: Optional[Iterable[Graph]] = None) -> int:
-    """Minimum of eta over all n-vertex graphs.
-
-    Without a corpus, all labeled graphs are generated in-process — feasible
-    only for n <= 5. Beyond that the caller supplies the graphs (one
-    representative per isomorphism class suffices, eta being an invariant);
-    exhaustiveness of a supplied corpus is the caller's responsibility.
-    """
-    if n < 1:
-        raise InputError("graph size must be positive")
-    if corpus is None:
-        if n > 5:
-            raise InputError(
-                f"an exhaustive corpus of {n}-vertex graphs must be supplied "
-                "(in-process enumeration stops at 5 vertices)"
-            )
-        return min(eta(g).value for g in _all_labeled_graphs(n))
-    best = None
-    for g in corpus:
-        if g.n != n:
-            raise InputError(f"corpus graph has {g.n} vertices, expected {n}")
-        v = eta(g).value
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise InputError("corpus is empty")
-    return best
 
 
 @dataclass(frozen=True)

@@ -815,19 +815,23 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
 # ── certificate verification (no search re-run) ──────────────────────────
 
 
-# A witness is checked by deciding the subgraph it induces, and a lower bound
-# above 2 by re-running the exact cover search on its witness. The document
-# chooses those subgraphs, so both are capped at this many vertices; a larger
-# one raises BudgetExceeded. A graph on at most 10 vertices splits into 4
-# bipartite, hence representable, parts, so the cover search then tries at
-# most three part counts.
+# The document chooses the subgraphs `verify` decides, so the exponential
+# checks are capped at this many vertices: `is_wr` on a non-representable
+# witness, and the cover search that checks a lower bound above 2. Past the
+# cap a non-representable witness still verifies when some vertex refuses it
+# by the neighbourhood rule, and raises BudgetExceeded otherwise;
+# comparability is decided in polynomial time at any size. A graph on at
+# most 10 vertices splits into 4 bipartite, hence representable, parts, so
+# the cover search then tries at most three part counts.
 _WITNESS_CAP = 10
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> list[str]:
     """Check one certificate against the graph it claims to describe.
-    Returns diagnostics; empty means it verifies. Raises BudgetExceeded on a
-    witness of more than `_WITNESS_CAP` vertices."""
+    Returns diagnostics; empty means it verifies. A non-comparability
+    witness is re-decided at any size, and a non-representable one on at
+    most `_WITNESS_CAP` vertices; a larger one verifies when some vertex of
+    it refuses it (`_refusals`) and raises BudgetExceeded otherwise."""
     try:
         if cert.kind in (SEMI_TRANSITIVE, TRANSITIVE):
             o = cert.payload
@@ -845,16 +849,18 @@ def verify_certificate(g: Graph, cert: Certificate) -> list[str]:
             vs = cert.payload
             if len(set(vs)) != len(vs) or any(not 0 <= v < g.n for v in vs):
                 return ["witness vertex set is not a set of host vertices"]
-            if len(vs) > _WITNESS_CAP:
-                raise BudgetExceeded(
-                    f"a witness is re-decided only on at most {_WITNESS_CAP} vertices, "
-                    f"this one has {len(vs)}"
-                )
             sub = induced_subgraph(g, vs)
-            if cert.kind == WITNESS and is_wr(sub):
-                return ["witness set induces a representable subgraph"]
-            if cert.kind == NON_COMPARABILITY and is_comparability(sub):
-                return ["witness set induces a comparability subgraph"]
+            if cert.kind == NON_COMPARABILITY:
+                if is_comparability(sub):
+                    return ["witness set induces a comparability subgraph"]
+            elif len(vs) <= _WITNESS_CAP:
+                if is_wr(sub):
+                    return ["witness set induces a representable subgraph"]
+            elif next(_refusals(sub), None) is None:
+                raise BudgetExceeded(
+                    f"a witness with no refusing vertex is re-decided only on at most "
+                    f"{_WITNESS_CAP} vertices, this one has {len(vs)}"
+                )
     except InputError as e:
         return [f"malformed certificate: {e}"]
     return []

@@ -67,6 +67,12 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def planted_w5(rng: random.Random, n: int) -> Graph:
+    """W5 on vertices 0..5 plus random edges at the other pairs."""
+    extra = [(u, v) for u in range(n) for v in range(max(u + 1, 6), n) if rng.random() < 0.5]
+    return Graph.from_edges(n, wheel_graph(5).edges() + extra)
+
+
 def record_calls(monkeypatch, owner, name: str) -> list:
     """A list that records the first argument of every call to the function
     `owner.name` while the test runs."""

@@ -85,6 +85,13 @@ def transitive_by_triples(n, arcs) -> bool:
     )
 
 
+def all_labeled_graphs(n: int):
+    """Every graph on vertices 0..n-1, one per edge subset."""
+    pairs = list(combinations(range(n), 2))
+    for sel in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
+
+
 def all_orientations(g: Graph):
     edges = g.edges()
     for choice in product((0, 1), repeat=len(edges)):

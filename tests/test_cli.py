@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -15,13 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import record_calls
+from conftest import planted_w5, record_calls
 import wordrep
 from wordrep import decomposition, recognition
 from wordrep.cli import main
 from wordrep.errors import InputError
 from wordrep.formats import encode_graph6, parse_graph
-from wordrep.graphs import Graph, Orientation, cycle_graph, extremal8, path_graph, wheel_graph
+from wordrep.graphs import (
+    Graph,
+    Orientation,
+    complete_graph,
+    cycle_graph,
+    extremal8,
+    path_graph,
+    wheel_graph,
+)
 from wordrep.lexops import lex_product
 from wordrep.recognition import word_represents
 
@@ -467,12 +476,136 @@ def test_verify_caps_witness_records():
     bogus["certificates"][0]["vertices"] = list(range(5))
     code, _, err = run(["verify", json.dumps(bogus)])
     assert code == 1 and "representable subgraph" in err
-    # a true witness over the cap is not decided either: C11 is a minimal
-    # non-comparability graph, so its witness is all 11 vertices
+    # comparability is re-decided in polynomial time at any size: C11 is a
+    # minimal non-comparability graph, so its witness is all 11 vertices
     code, out, _ = run(["check", "--comparability", encode_graph6(cycle_graph(11))])
     assert code == 0 and len(doc(out)["result"]["witness"]) == 11
     code, _, err = run(["verify", "-"], stdin=out)
-    assert code == 3 and "budget exhausted" in err
+    assert code == 0
+
+
+def claim(host: Graph, certificates: list[dict]) -> str:
+    """A hand-written document naming `certificates` about `host`."""
+    return json.dumps({"schema_version": "1", "host": encode_graph6(host), "command": "check",
+                       "result": {}, "certificates": certificates, "timing": 0})
+
+
+def mycielskian(g: Graph) -> Graph:
+    """g plus a shadow n + i of every vertex i, joined to i's neighbours,
+    plus one vertex joined to every shadow: triangle-free when g is, with
+    one more colour."""
+    n, es = g.n, g.edges()
+    shadows = [(i, n + j) for i, j in es] + [(j, n + i) for i, j in es]
+    return Graph.from_edges(2 * n + 1, es + shadows + [(n + i, 2 * n) for i in range(n)])
+
+
+def bipartite_parts(g: Graph) -> list[dict]:
+    """Part records of a cover by bipartite parts: a greedy colouring, with
+    each edge in the part of the lowest bit where its ends' colours differ,
+    oriented from the end with that bit clear. No vertex has an arc in and
+    an arc out in the same part, so every part is transitive."""
+    colour: list[int] = []
+    for v in range(g.n):
+        taken = {colour[u] for u in g.neighbors(v) if u < v}
+        colour.append(min(set(range(g.n + 1)) - taken))
+    arcs: dict[int, list[list[int]]] = {}
+    for u, v in g.edges():
+        diff = colour[u] ^ colour[v]
+        b = (diff & -diff).bit_length() - 1
+        arcs.setdefault(b, []).append([u, v] if not colour[u] >> b & 1 else [v, u])
+    return [{"edges": sorted(sorted(a) for a in part),
+             "certificate": {"kind": "transitive-orientation", "arcs": sorted(part)}}
+            for part in arcs.values()]
+
+
+def test_verify_decides_no_large_triangle_free_witness():
+    # M6, the third Mycielskian of C5: 47 vertices, triangle-free, so no
+    # vertex has an edge in its neighbourhood and none refuses it. Deciding
+    # the witness would be an orientation search the document picked.
+    m6 = cycle_graph(5)
+    for _ in range(3):
+        m6 = mycielskian(m6)
+    assert m6.n == 47
+    bound = {"kind": "decomposition", "provenance": "search", "parts": [],
+             "lower_bound": 2, "lower_bound_witness": list(range(47))}
+    # with no parts, the uncovered edges are a definite failure
+    proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
+    assert proc.returncode == 1 and "covered by no part" in proc.stderr
+    # with a verified cover, only the bound is left, and it is not decided
+    bound["parts"] = bipartite_parts(m6)
+    proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
+    assert proc.returncode == 3 and "at most 10 vertices" in proc.stderr
+
+
+def test_one_witness_verifies_alike_in_every_document():
+    # the Grötzsch graph is minimal non-representable on 11 vertices and
+    # triangle-free; `check --wr` and `mu` name it whole, and `verify`
+    # treats the witness record and the lower bound the same way
+    grotzsch = "JhdLA_gc?N_"
+    code, checked, _ = run(["check", "--wr", grotzsch])
+    assert code == 0
+    code, covered, _ = run(["mu", grotzsch])
+    assert code == 0
+    witness = doc(checked)["result"]["witness"]
+    assert doc(covered)["certificates"][0]["lower_bound_witness"] == witness == list(range(11))
+    assert run(["verify", "-"], stdin=checked)[0] == run(["verify", "-"], stdin=covered)[0] == 3
+
+
+def test_product_two_cone_verifies_without_a_large_decision(monkeypatch):
+    # K2 over C11: the lower-bound witness is one 11-cycle plus a vertex of
+    # the other supervertex, which sees all of it and so refuses the set
+    code, out, _ = run(["mu", encode_graph6(complete_graph(2)), encode_graph6(cycle_graph(11)),
+                        "--constructive", "product-two"])
+    assert code == 0
+    rec = doc(out)["certificates"][0]
+    assert rec["lower_bound"] == 2 and len(rec["lower_bound_witness"]) == 12
+    decided = [record_calls(monkeypatch, m, "is_wr") for m in (recognition, decomposition)]
+    assert reverify(out) == 0
+    assert all(g.n <= recognition._WITNESS_CAP for calls in decided for g in calls)
+
+
+def test_product_over_a_large_minimal_factor_verifies_by_its_cone():
+    # the Grötzsch graph's own witness is all 11 vertices, and none of them
+    # refuses it; a cross neighbour over its supervertex does
+    code, out, err = run(["mu", encode_graph6(complete_graph(2)), "JhdLA_gc?N_",
+                          "--constructive", "product-general"])
+    assert code == 0, err
+    assert doc(out)["certificates"][0]["lower_bound_witness"] == list(range(12))
+    assert reverify(out) == 0
+
+
+def test_verify_reports_a_failure_past_a_hit_cap():
+    # an 11-vertex path is no witness, but with no refusing vertex verify
+    # would not decide it; a definitely broken record elsewhere still exits 1
+    capped = {"kind": "non-representable-witness", "vertices": list(range(11))}
+    broken = {"kind": "semi-transitive-orientation", "arcs": [[0, 5]]}
+    p12 = path_graph(12)
+    code, out, err = run(["verify", claim(p12, [capped, broken])])
+    assert code == 1 and "certificate 1" in err
+    assert doc(out)["failures"] == ["certificate 1: malformed record: arc (0, 5) is not an edge of the host"]
+    assert run(["verify", claim(p12, [capped])])[0] == 3
+    # a cover with no parts fails whatever its bound-3 witness would give
+    bound = {"kind": "decomposition", "provenance": "search", "parts": [],
+             "lower_bound": 3, "lower_bound_witness": list(range(11))}
+    code, _, err = run(["verify", claim(p12, [bound])])
+    assert code == 1 and "covered by no part" in err
+
+
+def test_check_minimal_names_a_proper_core():
+    # a planted wheel is not minimal, so the inclusion-minimal witness
+    # `wr_decide` finds is a proper subset of the host
+    rng = random.Random(20261019)
+    for n in range(7, 13):
+        g = planted_w5(rng, n)
+        code, out, _ = run(["check", "--minimal", encode_graph6(g)])
+        assert code == 0
+        d = doc(out)
+        assert d["result"]["minimal_non_wr"] is False
+        [rec] = d["certificates"]
+        assert rec == {"kind": "non-representable-witness",
+                       "vertices": list(recognition.wr_decide(g)[1].payload)}
+        assert set(rec["vertices"]) < set(range(n))
+        assert reverify(out) == 0
 
 
 WORD_HOSTS = ("DUW", C5, "C~", "HAjvABL")
@@ -577,10 +710,10 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-def child(argv: list[str], stdin: str | None = None) -> subprocess.CompletedProcess:
+def child(argv: list[str], stdin: str | None = None, timeout: float = 30) -> subprocess.CompletedProcess:
     """Run `python -m wordrep` in a fresh interpreter, capturing its text."""
     return subprocess.run([sys.executable, "-m", "wordrep", *argv], input=stdin, env=child_env(),
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_module_entry_point():

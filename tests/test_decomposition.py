@@ -25,6 +25,7 @@ from wordrep.graphs import (
     cycle_graph,
     edge_set,
     empty_graph,
+    extremal8,
     path_graph,
     wheel_graph,
 )
@@ -34,6 +35,7 @@ from wordrep.recognition import (
     comparability_decide,
     mu_exact,
     verify_decomposition,
+    wr_decide,
 )
 
 C5_SPLIT = ([(0, 1), (1, 2)], [(2, 3), (3, 4), (0, 4)])
@@ -261,6 +263,30 @@ def test_tight_product_bound_comes_from_the_outer_cover(monkeypatch):
     assert d.value == 3 and d.lower_bound == 2
     assert d.lower_bound_witness == tuple(p.structure.flat(i, 0) for i in range(6))
     assert not decomposition_diagnostics(d)
+
+
+def test_product_bounds_place_the_factor_witness():
+    # the 8-vertex graph is not minimal: its inclusion-minimal witness has
+    # 6 vertices, and every bound built on it carries those 6, not all 8
+    h8, p3 = extremal8(), path_graph(3)
+    core = wr_decide(h8)[1].payload
+    assert len(core) == 6
+    d1 = as_decomposition(h8, mu_exact(h8))
+    assert (d1.lower_bound, d1.lower_bound_witness) == (2, core)
+    d2 = as_decomposition(p3, mu_exact(p3))
+    p = lex_product(h8, p3)
+    on_firsts = tuple(p.structure.flat(i, 0) for i in core)
+    for d in (decompose_product_general(p, d1, d2), decompose_product_tight(p, d1, [p3.edges()])):
+        assert (d.lower_bound, d.lower_bound_witness) == (2, on_firsts)
+        assert not decomposition_diagnostics(d)
+    # an inner factor's witness goes in the first supervertex (vertices
+    # 0..7) when the outer factor has no edge; with one, the cone comes
+    # first: that supervertex plus the second one's first vertex
+    for outer, witness in ((empty_graph(2), core), (complete_graph(2), tuple(range(9)))):
+        p = lex_product(outer, h8)
+        d = decompose_product_general(p, as_decomposition(outer, mu_exact(outer)), d1)
+        assert d.lower_bound_witness == witness
+        assert not decomposition_diagnostics(d)
 
 
 def test_tight_product_cover_rejects_bad_splits():

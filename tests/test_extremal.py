@@ -7,7 +7,6 @@ from wordrep import extremal, lexops
 from wordrep.errors import InputError, InternalError
 from wordrep.extremal import (
     eta,
-    tau_exhaustive,
     verify_no_wr_subgraph,
     verify_power_bound,
 )
@@ -24,7 +23,7 @@ from wordrep.lexops import lex_product
 from wordrep.recognition import verify_certificate, wr_decide
 
 from conftest import lex_product_missing_a_cross_edge, random_graph
-from oracles import eta_unpruned
+from oracles import all_labeled_graphs, eta_unpruned
 
 CORPUS6 = Path(__file__).parent / "data" / "graphs6.g6"
 
@@ -108,15 +107,16 @@ def test_no_representable_subgraph_trivia():
 
 
 def test_tau_is_the_size_up_to_five_vertices():
+    # tau(n), the least eta over all n-vertex graphs
     for n in range(1, 6):
-        assert tau_exhaustive(n) == n
+        assert min(eta(g).value for g in all_labeled_graphs(n)) == n
 
 
 def test_tau_six_over_the_frozen_corpus():
     corpus = load_corpus6()
     assert len(corpus) == 156  # all isomorphism classes of 6-vertex graphs
     assert all(g.n == 6 for g in corpus)
-    assert tau_exhaustive(6, corpus) == 5
+    assert min(eta(g).value for g in corpus) == 5
 
 
 def test_corpus_has_exactly_one_nonrepresentable_graph():
@@ -125,24 +125,6 @@ def test_corpus_has_exactly_one_nonrepresentable_graph():
     g = bad[0]
     assert g.edge_count() == 10
     assert sorted(g.degree(v) for v in range(6)) == [3, 3, 3, 3, 3, 5]
-
-
-def test_tau_lower_bounds_every_member():
-    corpus = load_corpus6()
-    t = tau_exhaustive(6, corpus)
-    for g in corpus[::13]:
-        assert t <= eta(g).value
-
-
-def test_tau_guards():
-    with pytest.raises(InputError):
-        tau_exhaustive(8)  # no silent in-process enumeration beyond 5
-    with pytest.raises(InputError):
-        tau_exhaustive(6, [])
-    with pytest.raises(InputError):
-        tau_exhaustive(6, [cycle_graph(5)])
-    with pytest.raises(InputError):
-        tau_exhaustive(0)
 
 
 # ── the iterated-power bound ───────────────────────────────────────────────

@@ -9,8 +9,9 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from conftest import random_graph, record_calls
+from conftest import planted_w5, random_graph, record_calls
 from oracles import (
+    all_labeled_graphs,
     comparability_by_all_orientations,
     graph_by_restriction,
     semi_transitive_by_paths,
@@ -26,8 +27,7 @@ from wordrep.certificates import (
     Certificate,
     Part,
 )
-from wordrep.errors import InputError
-from wordrep.extremal import _all_labeled_graphs
+from wordrep.errors import BudgetExceeded, InputError
 from wordrep.formats import decode_graph6
 from wordrep.graphs import (
     Graph,
@@ -291,7 +291,7 @@ def _fresh_memos(monkeypatch) -> None:
 
 def _exhaustive_corpus() -> list[Graph]:
     """Every labeled graph on at most 6 vertices and the graph6 corpus."""
-    corpus = [g for n in range(7) for g in _all_labeled_graphs(n)]
+    corpus = [g for n in range(7) for g in all_labeled_graphs(n)]
     return corpus + [decode_graph6(line) for line in CORPUS6.read_text().split()]
 
 
@@ -302,12 +302,6 @@ def test_predicates_match_deciders(monkeypatch):
     # the deciders start from empty memos too, so they read no predicate entry
     _fresh_memos(monkeypatch)
     assert verdicts == [(wr_decide(g)[0], comparability_decide(g)[0]) for g in corpus]
-
-
-def _planted_w5(rng: random.Random, n: int) -> Graph:
-    """W5 on vertices 0..5 plus random edges at the other pairs."""
-    extra = [(u, v) for u in range(n) for v in range(max(u + 1, 6), n) if rng.random() < 0.5]
-    return Graph.from_edges(n, wheel_graph(5).edges() + extra)
 
 
 def test_wr_witness_is_minimal(w5, h8):
@@ -321,7 +315,7 @@ def test_wr_witness_is_minimal(w5, h8):
     failing = [g for g in _exhaustive_corpus() if not is_wr(g)]
     assert len(failing) == 73
     failing += [w5, h8, decode_graph6("HnjNv~J")]
-    failing += [_planted_w5(rng, n) for n in range(7, 14) for _ in range(2)]
+    failing += [planted_w5(rng, n) for n in range(7, 14) for _ in range(2)]
     for g in failing:
         witness = wr_decide(g)[1].payload
         assert len(witness) <= recognition._WITNESS_CAP
@@ -341,7 +335,7 @@ def test_vertex_order_oracle_matches_all_orientations():
 def test_verdict_only_callers_shrink_no_witness(monkeypatch, w5):
     built = record_calls(monkeypatch, recognition, "_wr_witness")
     shrunk = record_calls(monkeypatch, recognition, "_shrink_witness")
-    planted = _planted_w5(random.Random(3), 10)
+    planted = planted_w5(random.Random(3), 10)
     _fresh_memos(monkeypatch)
     assert mu_exact(w5).value == 2
     _fresh_memos(monkeypatch)
@@ -443,14 +437,14 @@ def test_comparability_graphs_never_backtrack(monkeypatch, matching):
 
 def test_graphs_on_four_vertices_are_comparability():
     # why `_find_semi_transitive` skips neighbourhoods this small
-    assert all(comparability_by_all_orientations(g) for n in range(5) for g in _all_labeled_graphs(n))
+    assert all(comparability_by_all_orientations(g) for n in range(5) for g in all_labeled_graphs(n))
 
 
 def test_neighbourhood_rule_refuses_before_searching(monkeypatch):
     searched, decided = _record_searches(monkeypatch)
     # the hub's neighbourhood holds the rim C5, which no transitive
     # orientation has; the host fails the comparability pass first
-    host = _planted_w5(random.Random(3), 10)
+    host = planted_w5(random.Random(3), 10)
     assert not is_wr(host)
     assert searched == []
     assert decided[0] == host
@@ -626,3 +620,22 @@ def test_verify_certificate_kinds(c5, w5):
     assert verify_certificate(c5, Certificate("non-representable-witness", (0, 1, 2, 3, 4)))
     with pytest.raises(InputError):
         Certificate("no-such-kind", (1, 2))
+
+
+def test_verify_certificate_past_the_cap(monkeypatch):
+    cap = recognition._WITNESS_CAP
+    c11, p11 = cycle_graph(cap + 1), path_graph(cap + 1)
+    everything = tuple(range(cap + 1))
+    # comparability is re-decided at any size, both ways
+    assert verify_certificate(c11, Certificate(NON_COMPARABILITY, everything)) == []
+    assert verify_certificate(p11, Certificate(NON_COMPARABILITY, everything))
+    # a hub over C11 refuses the wheel, so it verifies with no search
+    w11 = Graph.from_edges(cap + 2, c11.edges() + [(v, cap + 1) for v in everything])
+    decided = record_calls(monkeypatch, recognition, "is_wr")
+    assert verify_certificate(w11, Certificate(WITNESS, everything + (cap + 1,))) == []
+    assert decided == []
+    # with no refusing vertex the claim is neither confirmed nor refuted
+    for g in (p11, decode_graph6("JhdLA_gc?N_")):
+        with pytest.raises(BudgetExceeded):
+            verify_certificate(g, Certificate(WITNESS, everything))
+    assert decided == []
