@@ -1,7 +1,8 @@
 """Command-line front end: graph ingestion, command dispatch, and JSON
 certificate documents.
 
-Every decision command prints one document::
+Every decision command prints one document, as one line of compact JSON
+(shown spread out here)::
 
     {
       "schema_version": "1",
@@ -20,14 +21,18 @@ induced graph's positional labels. Witness records carry "vertices" in
 host labels. A "decomposition" record bundles edge-cover parts with their
 orientations plus the certified lower bound and its witness set.
 
-`verify` re-checks every record against the embedded host: orientations and
-words in polynomial time, witness sets by deciding only the induced subgraph
-they name. A non-comparability witness is decided in polynomial time at any
-size. A non-representable witness is decided on at most 10 vertices; a
-larger one verifies when one of its vertices has a non-comparability
-neighbourhood inside it, and otherwise exits 3. It never re-derives the
-host-level answer. Every record is checked, and a cap hit in one exits 3
-only when no record failed.
+A `check --wr` word for a comparability graph is a concatenation of linear
+extensions of its transitive orientation, with at most n copies per letter;
+other representable graphs get up to 2n.
+
+`verify` re-checks every record against the embedded host: orientations in
+polynomial time, words in one scan of bitmask operations, witness sets by
+deciding only the induced subgraph they name. A non-comparability witness
+is decided in polynomial time at any size. A non-representable witness is
+decided on at most 10 vertices; a larger one verifies when one of its
+vertices has a non-comparability neighbourhood inside it, and otherwise
+exits 3. It never re-derives the host-level answer. Every record is
+checked, and a cap hit in one exits 3 only when no record failed.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 the search
 budget ran out before the answer was known, 4 internal error (a broken
@@ -190,8 +195,14 @@ def _document(host: Graph, command: str, result: dict, certificates: list, t0: f
     }
 
 
+def _json(obj) -> str:
+    """One line of compact JSON; the C encoder writes it, where indentation
+    would fall back to the pure-Python one."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_json(doc))
 
 
 # ── document re-verification ──────────────────────────────────────────────
@@ -401,7 +412,7 @@ def cmd_lex(args: argparse.Namespace) -> int:
             structure["fills"] = [_sorted_edges(f) for f in s.fills]
     enc = encode_graph6(graph)
     if args.sidecar:
-        Path(args.sidecar).write_text(json.dumps(structure, indent=2) + "\n")
+        Path(args.sidecar).write_text(_json(structure) + "\n")
     if args.format == "g6":
         print(enc)
     elif args.format == "dot":
@@ -472,10 +483,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out: dict = {"valid": not failures}
     if failures:
         out["failures"] = failures
-        print(json.dumps(out, indent=2))
+        print(_json(out))
         print(f"verification failure: {failures[0]}", file=sys.stderr)
         return 1
-    print(json.dumps(out, indent=2))
+    print(_json(out))
     return 0
 
 

@@ -263,11 +263,7 @@ def decompose_product_general(
     each outer part becomes a lifted map, each inner part is copied into
     every supervertex.
 
-    The lower bound 2 comes from a cone when there is one: a supervertex
-    plus a cross neighbour, which refuses it when the inner factor is not a
-    comparability graph, so `verify` confirms it in polynomial time at any
-    size. Otherwise a non-representable factor's own witness is placed in
-    the first supervertex, or on the supervertices' first vertices."""
+    The lower bound is `_bound_two`'s."""
     g1, g2 = p.outer, p.inner
     if d1.host != g1 or d2.host != g2:
         raise InputError("factor covers must live on the product's factors")
@@ -278,14 +274,26 @@ def decompose_product_general(
         [_oriented(part, g1.n) for part in d1.parts],
         [_oriented(part, g2.n) for part in d2.parts],
     )
-    bound, witness = 1, None
+    return Decomposition(p.graph, _parts(parts), "product-general", *_bound_two(p))
+
+
+def _bound_two(p: LexProduct) -> tuple[int, Optional[tuple[int, ...]]]:
+    """The lower bound 2 on a composition's cover number and its witness,
+    or (1, None) when both factors are representable and no cone applies.
+
+    A cone comes first: a supervertex plus a cross neighbour, which refuses
+    it when the outer factor has an edge and the inner factor is not a
+    comparability graph, so `verify` confirms it in polynomial time at any
+    size. Otherwise a non-representable factor's own witness is placed in
+    the first supervertex, or on the supervertices' first vertices."""
+    g1, g2 = p.outer, p.inner
     if g1.edge_count() and not is_comparability(g2):
-        bound, witness = 2, supervertex_witness(p.structure, g1)
-    elif not is_wr(g2):
-        bound, witness = 2, tuple(p.structure.flat(0, a) for a in wr_decide(g2)[1].payload)
-    elif not is_wr(g1):
-        bound, witness = 2, tuple(p.structure.flat(i, 0) for i in wr_decide(g1)[1].payload)
-    return Decomposition(p.graph, _parts(parts), "product-general", bound, witness)
+        return 2, supervertex_witness(p.structure, g1)
+    if not is_wr(g2):
+        return 2, tuple(p.structure.flat(0, a) for a in wr_decide(g2)[1].payload)
+    if not is_wr(g1):
+        return 2, tuple(p.structure.flat(i, 0) for i in wr_decide(g1)[1].payload)
+    return 1, None
 
 
 def decompose_product_tight(
@@ -298,11 +306,10 @@ def decompose_product_tight(
     i refilled with split class i inside every supervertex.
 
     Picking one vertex per supervertex embeds the outer factor in the host,
-    so the outer cover's lower bound carries over, capped at k1, with its
-    witness moved to the first vertices of those supervertices; when the
-    outer cover claims no bound, a non-representable outer factor still
-    gives 2. When the outer factor needs k1 parts exactly, the count is
-    optimal.
+    so an outer cover's lower bound above 2 carries over, capped at k1, with
+    its witness moved to the first vertices of those supervertices. A bound
+    of 2 is `_bound_two`'s, so it is a cone whenever one applies. When the
+    outer factor needs k1 parts exactly, the count is optimal.
     """
     g1, g2 = p.outer, p.inner
     if d1.host != g1:
@@ -316,12 +323,11 @@ def decompose_product_tight(
     fills += [Orientation(empty_graph(g2.n), (0,) * g2.n)] * (k1 - len(fills))
     parts = _refilled(p, [_oriented(part, g1.n) for part in d1.parts], fills)
 
-    bound, witness = 1, None
-    if k1 >= 2 and d1.lower_bound >= 2:
+    if d1.lower_bound > 2:
         bound = min(k1, d1.lower_bound)
         witness = tuple(p.structure.flat(i, 0) for i in d1.lower_bound_witness)
-    elif k1 >= 2 and not is_wr(g1):
-        bound, witness = 2, tuple(p.structure.flat(i, 0) for i in wr_decide(g1)[1].payload)
+    else:
+        bound, witness = _bound_two(p)
     return Decomposition(p.graph, _parts(parts), "product-tight", bound, witness)
 
 

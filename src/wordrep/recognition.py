@@ -52,6 +52,7 @@ a witness found later is added to the graph's entry in place.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterator, Optional, Sequence
 
 from .certificates import (
@@ -76,33 +77,46 @@ Word = Sequence[int]
 
 def graph_of_word(w: Word, n: Optional[int] = None) -> Graph:
     """The graph represented by w: vertices 0..n-1, edges = alternating
-    letter pairs. Every vertex must occur in w at least once."""
+    letter pairs. Every vertex must occur in w at least once.
+
+    One scan keeps seen[j], the letters met exactly j times so far. With k_v
+    copies of v, y alternates with x and x comes first exactly when y has
+    been met i - 1 times at the i-th copy of x for every i, and k_y is k_x - 1
+    or k_x: there is no y before the first x, one y between consecutive
+    copies of x and at most one after the last. With y first, y has been met
+    i times at every i-th copy of x and k_y is k_x or k_x + 1. So `before[x]`
+    intersects seen[i - 1] just before each i-th copy of x is counted,
+    `after[x]` intersects seen[i] just after, and the final seen[k] groups
+    the letters by k. Each letter costs a few bitmask operations, so the
+    check is linear in |w| times n / 64 machine words.
+    """
     if n is None:
         n = max(w) + 1 if w else 0
-    seen = 0
+    full = (1 << n) - 1
+    seen = [full]
+    count = [0] * n
+    before = [full] * n
+    after = [full] * n
     for c in w:
         if not 0 <= c < n:
             raise InputError(f"letter {c} outside 0..{n - 1}")
-        seen |= 1 << c
-    if seen != (1 << n) - 1:
-        missing = [v for v in range(n) if not seen >> v & 1]
-        raise InputError(f"vertices {missing} never occur in the word")
-    # one pass, tracking per pair which letter came last and whether the
-    # restriction already repeated a letter
-    last = [[-1] * n for _ in range(n)]
-    broken = [0] * n
-    for c in w:
-        lc = last[c]
-        for d in range(n):
-            if d == c:
-                continue
-            if lc[d] == c:
-                broken[c] |= 1 << d
-                broken[d] |= 1 << c
-            lc[d] = c
-            last[d][c] = c
-    full = (1 << n) - 1
-    adj = tuple((full ^ (1 << v)) & ~broken[v] for v in range(n))
+        i, bit = count[c], 1 << c
+        before[c] &= seen[i]
+        seen[i] ^= bit
+        i += 1
+        count[c] = i
+        if i == len(seen):
+            seen.append(bit)
+        else:
+            seen[i] |= bit
+        after[c] &= seen[i]
+    if seen[0]:
+        raise InputError(f"vertices {list(bits(seen[0]))} never occur in the word")
+    seen.append(0)
+    adj = tuple(
+        (before[x] & (seen[k - 1] | seen[k]) | after[x] & (seen[k] | seen[k + 1])) & ~(1 << x)
+        for x, k in enumerate(count)
+    )
     return Graph(n, adj)
 
 
@@ -623,10 +637,73 @@ def is_minimal_non_wr(g: Graph) -> bool:
 # ── words from orientations ──────────────────────────────────────────────
 
 
-def word_from_orientation(o: Orientation) -> tuple[int, ...]:
-    """A uniform word representing o's host, with at most 2n copies per
-    letter, built from a semi-transitive orientation (the constructive
-    direction of Halldórsson, Kitaev & Pyatkin, DAM 201, 2016).
+def _extension_word(o: Orientation, order: list[int]) -> tuple[int, ...]:
+    """A word for a transitive orientation o: linear extensions of the
+    partial order o, concatenated. An arc u -> v reads u before v in every
+    extension, so the pair alternates. Two incomparable letters alternate
+    only if every extension orders them the same way, so the word
+    represents o's host once each incomparable pair appears in both orders
+    (permutational representability, Kitaev & Seif, Order 25, 2008).
+
+    Each extension is anchored on the vertex x with the most incomparable
+    partners it has not yet preceded. It places x's down-set in `order`,
+    then x, so x precedes everything incomparable to it; then, among the
+    vertices whose down-set is placed, it takes one that precedes the most
+    such partners still unplaced. A heap keys them by that count, which
+    only falls while an extension grows, so a popped key is recounted and
+    re-pushed until it is current. An anchor owes nothing afterwards, so
+    there is at most one extension per vertex with an incomparable partner.
+    With none at all the host is complete and the word is empty.
+    """
+    n, out = o.host.n, o.out
+    full = (1 << n) - 1
+    below = [0] * n
+    for u in range(n):
+        for v in bits(out[u]):
+            below[v] |= 1 << u
+    owed = [full & ~o.host.adj[v] & ~(1 << v) for v in range(n)]
+    word: list[int] = []
+    while n:
+        x = max(range(n), key=lambda v: owed[v].bit_count())
+        if not owed[x]:
+            break
+        left = full
+        ext: list[int] = []
+
+        def place(v: int) -> None:
+            nonlocal left
+            left &= ~(1 << v)
+            owed[v] &= ~left
+            ext.append(v)
+
+        def key(v: int) -> int:  # minus the partners v would newly precede
+            return -(owed[v] & left).bit_count()
+
+        for v in order:
+            if below[x] >> v & 1:
+                place(v)
+        place(x)
+        waiting = [(below[v] & left).bit_count() for v in range(n)]
+        heap = [(key(v), v) for v in bits(left) if not waiting[v]]
+        heapq.heapify(heap)
+        while heap:
+            k, v = heapq.heappop(heap)
+            if k != key(v):
+                heapq.heappush(heap, (key(v), v))
+                continue
+            place(v)
+            for u in bits(out[v] & left):
+                waiting[u] -= 1
+                if not waiting[u]:
+                    heapq.heappush(heap, (key(u), u))
+        word += ext
+    return tuple(word)
+
+
+def _block_word(o: Orientation, order: list[int]) -> tuple[int, ...]:
+    """A word for a semi-transitive orientation o, with at most 2n copies per
+    letter (the constructive direction of Halldórsson, Kitaev & Pyatkin,
+    DAM 201, 2016).
 
     For each vertex x with an incomparable non-neighbour or a non-adjacent
     descendant, let B be x's non-adjacent descendants and R = V - B, and
@@ -636,7 +713,7 @@ def word_from_orientation(o: Orientation) -> tuple[int, ...]:
       * q2 is a topological order of o with every arc from R into B
         reversed and x before every non-ancestor of x.
     Every letter occurs twice per block. With no block at all the host is
-    complete and one topological order represents it.
+    complete and the word is empty.
 
     Edges alternate. No arc runs from B into R: its head would be a
     descendant of x adjacent to x, so x ~> b -> head with x -> head would be
@@ -656,10 +733,7 @@ def word_from_orientation(o: Orientation) -> tuple[int, ...]:
     arc from an ancestor of x into B would be a shortcut past x. So no arc
     returns to x from the non-ancestors it is placed before.
     """
-    if not check_semi_transitive(o):
-        raise InputError("orientation is not semi-transitive")
     n, out, adj = o.host.n, o.out, o.host.adj
-    order = _topo_order(out, n)
     reach = _strict_reach(out, n, order)
     anc = [0] * n
     for a in range(n):
@@ -684,7 +758,19 @@ def word_from_orientation(o: Orientation) -> tuple[int, ...]:
         word += [v for v in _topo_order(out1, n) if r_set >> v & 1]
         word += q2
         word += [v for v in q2 if b_set >> v & 1]
-    return tuple(word) if word else tuple(order)
+    return tuple(word)
+
+
+def word_from_orientation(o: Orientation) -> tuple[int, ...]:
+    """A uniform word representing o's host, built from a semi-transitive
+    orientation: `_extension_word` for a transitive one, with at most one
+    copy per letter for each vertex that has a non-neighbour, and
+    `_block_word` otherwise. A complete host gets one topological order."""
+    if not check_semi_transitive(o):
+        raise InputError("orientation is not semi-transitive")
+    order = _topo_order(o.out, o.host.n)
+    build = _extension_word if check_transitive(o) else _block_word
+    return build(o, order) or tuple(order)
 
 
 def find_word(g: Graph) -> Optional[tuple[int, ...]]:

@@ -742,6 +742,45 @@ def test_check_wr_decides_the_64_vertex_power(monkeypatch):
     assert reverify(out) == 0
 
 
+def test_long_path_round_trip_stays_small():
+    # a path is a comparability graph, so its word is a few linear
+    # extensions; apart from the graph6 host (n(n-1)/12 bytes), the
+    # document stays under 100 kB and `verify` reads it in one scan
+    host = encode_graph6(path_graph(1100))
+    made = child(["check", "--wr", "-"], stdin=host, timeout=30)
+    assert made.returncode == 0, made.stderr
+    assert len(made.stdout) - len(host) < 100_000
+    d = json.loads(made.stdout)
+    assert d["result"]["wr"] is True and len(d["result"]["word"]) <= 4 * 1100
+    checked = child(["verify", "-"], stdin=made.stdout, timeout=30)
+    assert checked.returncode == 0, checked.stderr
+    assert checked.stdout == '{"valid":true}\n'
+
+
+def test_documents_are_one_line(tmp_path):
+    sidecar = tmp_path / "structure.json"
+    for argv in (["check", "--wr", "DUW"], ["mu", W5],
+                 ["lex", "product", C5, "Bw", "--sidecar", str(sidecar)]):
+        code, out, _ = run(argv)
+        assert code == 0 and out.count("\n") == 1 and ", " not in out
+        code, text, _ = run(["verify", "-"], stdin=out)
+        assert code == 0 and text == '{"valid":true}\n'
+    assert sidecar.read_text() == '{"outer_n":5,"inner_n":3,"chain":[5,3]}\n'
+
+
+def test_tight_product_over_a_large_outer_factor_verifies_by_its_cone():
+    # the Grötzsch graph needs 2 parts and its own witness is all 11
+    # vertices, which no vertex refuses; C5 is not a comparability graph, so
+    # a supervertex plus a cross neighbour is the product's witness
+    code, out, err = run(["mu", "JhdLA_gc?N_", C5, "--constructive", "product-tight",
+                          "--split", SPLIT_C5])
+    assert code == 0, err
+    rec = doc(out)["certificates"][0]
+    assert (rec["lower_bound"], rec["lower_bound_witness"]) == (2, list(range(6)))
+    assert doc(out)["result"]["mu"] == 2
+    assert reverify(out) == 0
+
+
 def test_check_wr_witness_fits_the_verify_cap():
     # W11 with its hub indexed first, plus a disjoint W5: the hub's cone is
     # all 12 vertices of W11, past what `verify` re-decides, so the witness

@@ -29,7 +29,7 @@ from wordrep.graphs import (
     path_graph,
     wheel_graph,
 )
-from wordrep.lexops import lex_power, lex_product
+from wordrep.lexops import lex_power, lex_product, supervertex_witness
 from wordrep.recognition import (
     check_transitive,
     comparability_decide,
@@ -246,7 +246,8 @@ def test_tight_product_cover_single_part_is_the_product():
 
 def test_tight_product_bound_comes_from_the_outer_cover(monkeypatch):
     # a three-part cover of W5 (spokes, a rim path, the rest of the rim)
-    # that claims the bound 2 with the whole wheel as its witness
+    # that claims the bound 2 with the whole wheel as its witness; C5 is not
+    # a comparability graph, so the product's bound 2 is the cone instead
     w5 = wheel_graph(5)
     classes = [[(i, 5) for i in range(5)], [(0, 1), (1, 2), (2, 3)], [(3, 4), (0, 4)]]
     parts = tuple(
@@ -261,7 +262,7 @@ def test_tight_product_bound_comes_from_the_outer_cover(monkeypatch):
     p = lex_product(w5, cycle_graph(5))
     d = decompose_product_tight(p, d1, list(C5_SPLIT))
     assert d.value == 3 and d.lower_bound == 2
-    assert d.lower_bound_witness == tuple(p.structure.flat(i, 0) for i in range(6))
+    assert d.lower_bound_witness == supervertex_witness(p.structure, w5)
     assert not decomposition_diagnostics(d)
 
 

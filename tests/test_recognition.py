@@ -72,15 +72,36 @@ def test_graph_of_word_examples():
         graph_of_word([0, 2], 3)  # vertex 1 never occurs
     with pytest.raises(InputError):
         graph_of_word([0, 5], 2)  # letter out of range
+    with pytest.raises(InputError):
+        graph_of_word([0, 1, 2], 2)  # the letter n itself
+    with pytest.raises(InputError):
+        graph_of_word([0, -1, 1], 2)  # a negative letter
+    with pytest.raises(InputError):
+        graph_of_word([2, 0, 2])  # vertex 1 never occurs, n inferred
+
+
+def test_graph_of_word_on_every_short_word():
+    # every word over at most 3 letters of length at most 8: the graph when
+    # every letter occurs, an input error otherwise
+    for n in range(4):
+        for length in range(9):
+            for w in product(range(n), repeat=length):
+                if len(set(w)) == n:
+                    assert graph_of_word(w, n) == graph_by_restriction(w, n), w
+                else:
+                    with pytest.raises(InputError):
+                        graph_of_word(w, n)
 
 
 def test_graph_of_word_matches_oracle():
+    # non-uniform words: per-letter copy counts drawn from 1..6, so pairs
+    # whose counts differ by 0, 1 and more all occur
     rng = random.Random(33)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        w = list(range(n)) + [rng.randrange(n) for _ in range(rng.randint(0, 10))]
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        w = [v for v in range(n) for _ in range(rng.randint(1, 6 if rng.random() < 0.3 else 2))]
         rng.shuffle(w)
-        assert graph_of_word(w, n) == graph_by_restriction(w, n)
+        assert graph_of_word(w, n) == graph_by_restriction(w, n), w
 
 
 def test_word_represents(c5):
@@ -114,6 +135,30 @@ def test_found_words_are_uniform():
         assert (w is None) == (not wr_decide(g)[0])
         if w is not None:
             _assert_uniform_word(w, g)
+
+
+def test_comparability_graphs_get_extension_words():
+    # a transitive orientation's word is a run of linear extensions, at most
+    # one per vertex with a non-neighbour (so a complete graph gets a single
+    # topological order); the block construction gives the same orientation
+    # two copies per such vertex
+    from_file = {decode_graph6(line) for line in CORPUS6.read_text().split()}
+    for g in _exhaustive_corpus():
+        o = recognition._find_transitive(g)
+        if o is None:
+            continue
+        w = word_from_orientation(o)
+        assert graph_by_restriction(w, g.n) == g
+        anchors = sum(g.degree(v) < g.n - 1 for v in range(g.n))
+        copies = len(w) // g.n if g.n else 0
+        assert copies <= max(anchors, 1)
+        for i in range(copies):
+            ext = w[i * g.n:(i + 1) * g.n]
+            assert sorted(ext) == list(range(g.n))
+            assert all(ext.index(u) < ext.index(v) for u, v in o.arcs())
+        if g.n <= 5 or g in from_file:
+            old = recognition._block_word(o, recognition._topo_order(o.out, g.n))
+            assert len(old) == 2 * anchors * g.n and copies <= max(2 * anchors, 1)
 
 
 def test_word_from_orientation_rejects_non_semi_transitive():
