@@ -9,23 +9,24 @@ re-verifies all of it from the certificates alone.
 A part is described by its orientation alone: the part's edges are the
 edges of the orientation's host, and `_parts` reads them from there.
 
-Every product cover is one of two steps over the composition's two edge
-layers, cross edges between supervertices and interior edges within them:
+Every product cover is built by one rule, `orient_special`: oriented
+pieces of the inner factor go into the supervertices under the lifted
+orientation of a spanning subgraph of the outer factor, transitive pieces
+where that subgraph has an edge and semi-transitive ones elsewhere.
 
-* `_cross_and_copies` turns each outer part into a lexicographic map with
-  the lifted orientation (still semi-transitive), and copies each inner
-  part into every supervertex with `_disjoint`, whose vertex-disjoint union
-  keeps the orientation semi-transitive. This gives k1 + k2 parts.
-* `_refilled` turns outer part i into its map refilled inside every
-  supervertex with the transitively oriented comparability class i of the
-  inner factor, built by `orient_special` from the orientations in hand,
-  with no search. This gives k1 parts.
+* `_refilled` gives outer part i's lift with inner piece i in every
+  supervertex. With transitively oriented comparability classes as the
+  pieces it covers a product by k1 parts.
+* `_cross_and_copies` is `_refilled` twice with edgeless orientations: the
+  outer parts' lifts with empty supervertices, then the inner parts
+  copied into every supervertex under an edgeless outer orientation. This
+  gives k1 + k2 parts.
 
-Powers are folds of these steps: g^[k] = g over g^[k-1], so each level
-applies the step once with g's cover outside and the previous level's cover
+Powers are folds of these: g^[k] = g over g^[k-1], so each level applies
+the rule once with g's cover outside and the previous level's cover
 inside. The three-part cover of two minimal non-representable factors is
-assembled from the same pieces: two `_disjoint` unions, one of which holds
-an `orient_special` refill, and one lifted map.
+three more applications of the rule, with different pieces per
+supervertex.
 """
 
 from __future__ import annotations
@@ -41,19 +42,11 @@ from .certificates import (
     Part,
 )
 from .errors import BudgetExceeded, InputError, InternalError
-from .graphs import (
-    Graph,
-    LexStructure,
-    Orientation,
-    edge_set,
-    empty_graph,
-    induced_subgraph,
-)
+from .graphs import Graph, LexStructure, Orientation, edge_set, induced_subgraph
 from .lexops import (
     LexProduct,
-    lex_map,
+    _edgeless,
     lex_product,
-    lift_semi_transitive,
     orient_special,
     supervertex_witness,
 )
@@ -119,40 +112,21 @@ def _parts(oriented: list[Orientation], kind: str = SEMI_TRANSITIVE) -> tuple[Pa
     return tuple(Part(edge_set(o.host.edges()), Certificate(kind, o)) for o in oriented)
 
 
-def _disjoint(n: int, pieces: Iterable[tuple[Orientation, Sequence[int]]]) -> Orientation:
-    """The union on n vertices of oriented pieces placed by vertex maps
-    (piece vertex a lands on vmap[a]). The pieces must be vertex-disjoint;
-    then no arc joins two of them, every directed path stays in one piece,
-    and the union inherits semi-transitivity (and transitivity) from them."""
-    adj, out = [0] * n, [0] * n
-    for o, vmap in pieces:
-        for u, v in o.arcs():
-            a, b = vmap[u], vmap[v]
-            out[a] |= 1 << b
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return Orientation(Graph(n, tuple(adj)), tuple(out))
+def _refilled(
+    p: LexProduct, outer_parts: list[Orientation], fills: list[Orientation]
+) -> list[Orientation]:
+    """Cover p with outer part i's lift holding fill i in every
+    supervertex."""
+    return [orient_special(p, o, [fill] * p.outer.n) for o, fill in zip(outer_parts, fills)]
 
 
 def _cross_and_copies(
     p: LexProduct, outer_parts: list[Orientation], inner_parts: list[Orientation]
 ) -> list[Orientation]:
-    """Cover p with one lifted map per outer part, then one set of
-    supervertex copies per inner part."""
-    parts = [lift_semi_transitive(lex_map(p, o.host.edges()), o) for o in outer_parts]
-    blocks = [p.structure.supervertex(i) for i in range(p.outer.n)]
-    return parts + [_disjoint(p.graph.n, [(o, b) for b in blocks]) for o in inner_parts]
-
-
-def _refilled(
-    p: LexProduct, outer_parts: list[Orientation], fills: list[Orientation]
-) -> list[Orientation]:
-    """Cover p with outer part i's map refilled by transitively oriented
-    fill i inside every supervertex."""
-    return [
-        orient_special(lex_map(p, o.host.edges()), o, [fill] * p.outer.n)
-        for o, fill in zip(outer_parts, fills)
-    ]
+    """Cover p with one lift per outer part, then one set of supervertex
+    copies per inner part."""
+    lifts = _refilled(p, outer_parts, [_edgeless(p.inner.n)] * len(outer_parts))
+    return lifts + _refilled(p, [_edgeless(p.outer.n)] * len(inner_parts), inner_parts)
 
 
 def _comparability_split(
@@ -182,17 +156,15 @@ def _comparability_split(
 def decompose_product_two(p: LexProduct) -> Decomposition:
     """Cover a composition of two representable factors with two parts: the
     cross layer as one lifted lexicographic map, the interiors as disjoint
-    copies of the inner factor."""
+    copies of the inner factor. The lower bound is `_bound_two`'s, the cone
+    when the inner factor is not a comparability graph."""
     g1, g2 = p.outer, p.inner
     if g1.edge_count() == 0:
         raise InputError("outer factor needs at least one edge")
     if not is_wr(g1) or not is_wr(g2):
         raise InputError("both factors must be word-representable")
     parts = _cross_and_copies(p, [_wr_orientation(g1)], [_wr_orientation(g2)])
-    bound, witness = 1, None
-    if not is_comparability(g2):
-        bound, witness = 2, supervertex_witness(p.structure, g1)
-    return Decomposition(p.graph, _parts(parts), "product-two", bound, witness)
+    return Decomposition(p.graph, _parts(parts), "product-two", *_bound_two(p))
 
 
 # ── covers of composition powers ──────────────────────────────────────────
@@ -320,7 +292,7 @@ def decompose_product_tight(
     if len(comp_split) > k1:
         raise InputError("more inner split classes than outer parts")
     fills = _comparability_split(g2, comp_split, range(k1), "inner factor")
-    fills += [Orientation(empty_graph(g2.n), (0,) * g2.n)] * (k1 - len(fills))
+    fills += [_edgeless(g2.n)] * (k1 - len(fills))
     parts = _refilled(p, [_oriented(part, g1.n) for part in d1.parts], fills)
 
     if d1.lower_bound > 2:
@@ -343,14 +315,16 @@ def decompose_min_nonwr_product(
     """Cover a composition of two minimal non-representable factors with
     three pairwise edge-disjoint parts.
 
-    Fix a supervertex block R. Part one keeps R's interior minus one vertex,
-    a star at a chosen root inside every other block, and all cross edges
-    avoiding R — the stars make the non-R portion a refilled map over the
-    outer factor minus its R vertex. Part two takes the leftover interiors:
-    the dropped vertex's star inside R and each other block minus its root.
-    Part three is the map of the outer star at R's vertex, covering the
-    cross edges into R. Minimality makes every proper interior piece
-    representable, and the cross layers are maps of proper outer subgraphs.
+    Fix the supervertex block R of outer vertex r; each part is one
+    `orient_special` substitution. Part one lifts the outer factor without
+    r's edges, covering the cross edges avoiding R, and holds the inner
+    factor without a dropped vertex's edges in R and a star at a chosen
+    root in every other block. Part two has no cross edges: the dropped
+    vertex's star in R and each other block without its root's edges.
+    Part three lifts the outer star at r, covering the cross edges into R.
+    Minimality makes a factor without one vertex's edges representable;
+    those pieces sit only in supervertices without cross edges, and the
+    stars are transitive.
     """
     g1, g2 = p.outer, p.inner
     n, m = g1.n, g2.n
@@ -366,44 +340,37 @@ def decompose_min_nonwr_product(
     if not 0 <= drop < m:
         raise InputError(f"dropped vertex {drop} out of range")
     host = p.graph
-    blocks = [st.supervertex(i) for i in range(n)]
-    others = [i for i in range(n) if i != r]
 
     def star(a: int) -> Orientation:
         """A transitive orientation of g2's edges at inner vertex a."""
         fill = Graph.from_edges(m, [(a, b) for b in g2.neighbors(a)])
         return comparability_decide(fill)[1].payload
 
-    def minus(i: int, a: int) -> tuple[Orientation, list[int]]:
-        """Block i's interior without inner vertex a, oriented and placed."""
-        kept = [b for b in range(m) if b != a]
-        return _wr_orientation(induced_subgraph(g2, kept)), [blocks[i][b] for b in kept]
+    def minus(g: Graph, a: int) -> Orientation:
+        """A semi-transitive orientation of g without vertex a's edges."""
+        return _wr_orientation(
+            Graph(g.n, tuple(0 if v == a else row & ~(1 << a) for v, row in enumerate(g.adj)))
+        )
 
-    # part one: R's interior minus `drop`, plus the rooted-star refill of
-    # the map over the outer factor without r
-    g1r = induced_subgraph(g1, others)
-    refill = orient_special(
-        lex_map(lex_product(g1r, g2), g1r.edges()),
-        _wr_orientation(g1r),
-        [star(roots[i]) for i in others],
+    # part one: the lift of g1 without r's edges, with R's interior minus
+    # `drop` in R and a rooted star in every other block
+    part1 = orient_special(
+        p, minus(g1, r), [minus(g2, drop) if i == r else star(roots[i]) for i in range(n)]
     )
-    part1 = _disjoint(host.n, [minus(r, drop), (refill, [v for i in others for v in blocks[i]])])
-
     # part two: leftover interiors — the dropped vertex's star inside R,
     # each other block minus its root
-    part2 = _disjoint(host.n, [(star(drop), blocks[r])] + [minus(i, roots[i]) for i in others])
-
-    # part three: the map of the outer star at r — all cross edges into R
-    outer_star = [(r, j) for j in g1.neighbors(r)]
-    part3 = lift_semi_transitive(
-        lex_map(p, outer_star), _wr_orientation(Graph.from_edges(n, outer_star))
+    part2 = orient_special(
+        p, _edgeless(n), [star(drop) if i == r else minus(g2, roots[i]) for i in range(n)]
     )
+    # part three: the lift of the outer star at r — all cross edges into R
+    outer_star = Graph.from_edges(n, [(r, j) for j in g1.neighbors(r)])
+    part3 = orient_special(p, _wr_orientation(outer_star), [_edgeless(m)] * n)
 
     parts = _parts([part1, part2, part3])
     union = frozenset().union(*(pt.edges for pt in parts))
     if sum(len(pt.edges) for pt in parts) != len(union) or union != edge_set(host.edges()):
         raise InternalError("the three parts must partition the host's edges")
-    return Decomposition(host, parts, "min-product", 2, tuple(blocks[0]))
+    return Decomposition(host, parts, "min-product", 2, tuple(st.supervertex(0)))
 
 
 # ── verification ──────────────────────────────────────────────────────────

@@ -10,21 +10,21 @@ digits.
 A lexicographic map takes a set of outer edges and keeps only their complete
 cross joins, with nothing inside any supervertex; a special subgraph then
 refills each supervertex with a comparability subgraph of the inner factor.
-Orientations of an outer subgraph lift uniformly: every arc i -> j becomes
-all inner_n^2 arcs between the blocks. Uniform lifts preserve both
-semi-transitivity and transitivity (directed paths project to directed
-paths of the outer orientation), and a lifted semi-transitive cross part
-stays semi-transitive after adding transitively oriented supervertex
-interiors: any shortcut would project to one outside or collapse into one
-interior.
 
-A refill is described by orientations alone: `orient_special` takes the map,
-a semi-transitive orientation of its outer subgraph and one transitive
-orientation per supervertex, whose hosts are the fills, and builds the
-composite graph together with its orientation, checking its inputs with the
-polynomial checkers only. `special_subgraph` is the entry for raw edge-list
-fills: it decides the outer subgraph and the fills, then takes its graph
-from `orient_special`.
+Every such graph is one substitution, built by `orient_special`: a
+semi-transitive orientation of a spanning subgraph of the outer factor
+lifts uniformly (every arc i -> j becomes all inner_n^2 arcs between the
+blocks), and supervertex i receives an oriented subgraph of the inner
+factor. The composite is semi-transitive when every piece placed in a
+supervertex with a cross edge is transitive and every other piece is
+semi-transitive: a directed path either stays in a supervertex with no
+cross edge, or projects onto a directed path of the outer orientation and
+closes inside each supervertex it crosses. It is transitive when every
+piece is. A lexicographic map is the substitution with empty pieces, a
+vertex-disjoint union of copies is the one with an edgeless outer
+orientation, and `lift_semi_transitive` and `special_subgraph` are calls
+of `orient_special`; the latter decides its outer subgraph and edge-list
+fills first. Only the polynomial checkers check the pieces.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .graphs import Graph, LexStructure, Orientation, bits, edge_set
+from .graphs import Graph, LexStructure, Orientation, bits, edge_set, empty_graph
 from .recognition import (
     check_semi_transitive,
     check_transitive,
@@ -77,10 +77,6 @@ class LexMapGraph:
     outer_edges: frozenset[tuple[int, int]]
     graph: Graph
 
-    @property
-    def structure(self) -> LexStructure:
-        return self.product.structure
-
     def outer_subgraph(self) -> Graph:
         return Graph.from_edges(self.product.outer.n, list(self.outer_edges))
 
@@ -94,22 +90,33 @@ class SpecialSubgraph:
     graph: Graph
 
 
+def _lift_rows(rows: Sequence[int], n2: int) -> list[int]:
+    """Uniformly lift outer rows to blocks of n2 vertices: bit j of row i
+    becomes block j, and block i's n2 vertices each get that row."""
+    block = (1 << n2) - 1
+    lifted = []
+    for row in rows:
+        wide = 0
+        for j in bits(row):
+            wide |= block << (j * n2)
+        lifted += [wide] * n2
+    return lifted
+
+
+def _edgeless(n: int) -> Orientation:
+    return Orientation(empty_graph(n), (0,) * n)
+
+
 def lex_product(g1: Graph, g2: Graph) -> LexProduct:
     """Compose g1 over g2: |V| = n1*n2, cross joins along outer edges plus a
     copy of g2 inside each supervertex."""
-    n1, n2 = g1.n, g2.n
-    st = LexStructure(n1, n2)
-    block = (1 << n2) - 1
-    outer_rows = []
-    for i in range(n1):
-        row = 0
-        for j in bits(g1.adj[i]):
-            row |= block << (j * n2)
-        outer_rows.append(row)
-    adj = []
-    for i in range(n1):
+    n2 = g2.n
+    st = LexStructure(g1.n, n2)
+    adj = _lift_rows(g1.adj, n2)
+    for i in range(g1.n):
+        off = i * n2
         for a in range(n2):
-            adj.append(outer_rows[i] | (g2.adj[a] << (i * n2)))
+            adj[off + a] |= g2.adj[a] << off
     return LexProduct(g1, g2, st, Graph(st.n, tuple(adj)))
 
 
@@ -129,35 +136,16 @@ def lex_map(p: LexProduct, outer_edges: Iterable[tuple[int, int]]) -> LexMapGrap
     for u, v in sel:
         if not (0 <= u < p.outer.n and 0 <= v < p.outer.n) or not p.outer.has_edge(u, v):
             raise InputError(f"({u}, {v}) is not an edge of the outer factor")
-    n2 = p.inner.n
-    block = (1 << n2) - 1
-    outer_rows = [0] * p.outer.n
-    for u, v in sel:
-        outer_rows[u] |= block << (v * n2)
-        outer_rows[v] |= block << (u * n2)
-    adj = tuple(outer_rows[i] for i in range(p.outer.n) for _ in range(n2))
-    return LexMapGraph(p, sel, Graph(p.structure.n, adj))
-
-
-def _lift(m: LexMapGraph, o: Orientation) -> Orientation:
-    if o.host != m.outer_subgraph():
-        raise InputError("orientation host must be the selected outer subgraph")
-    n2 = m.product.inner.n
-    block = (1 << n2) - 1
-    out_rows = [0] * m.product.outer.n
-    for i in range(m.product.outer.n):
-        for j in bits(o.out[i]):
-            out_rows[i] |= block << (j * n2)
-    out = tuple(out_rows[i] for i in range(m.product.outer.n) for _ in range(n2))
-    return Orientation(m.graph, out)
+    adj = _lift_rows(Graph.from_edges(p.outer.n, sel).adj, p.inner.n)
+    return LexMapGraph(p, sel, Graph(p.structure.n, tuple(adj)))
 
 
 def lift_semi_transitive(m: LexMapGraph, o: Orientation) -> Orientation:
     """Uniform lift of a semi-transitive orientation of the selected outer
     subgraph; the lift is again semi-transitive."""
-    if not check_semi_transitive(o):
-        raise InputError("outer orientation is not semi-transitive")
-    return _lift(m, o)
+    if o.host != m.outer_subgraph():
+        raise InputError("orientation host must be the selected outer subgraph")
+    return orient_special(m.product, o, [_edgeless(m.product.inner.n)] * o.host.n)
 
 
 def special_subgraph(
@@ -170,13 +158,13 @@ def special_subgraph(
     comparability subgraph of the inner factor; the composite is then
     word-representable as well.
     """
-    st = m.structure
-    if len(fills) != st.outer_n:
-        raise InputError(f"need one fill per supervertex ({st.outer_n})")
+    p = m.product
+    if len(fills) != p.outer.n:
+        raise InputError(f"need one fill per supervertex ({p.outer.n})")
     outer_ok, outer_cert = wr_decide(m.outer_subgraph())
     if not outer_ok:
         raise InputError("selected outer subgraph is not word-representable")
-    inner = m.product.inner
+    inner = p.inner
     fsets, greens = [], []
     for i, fill in enumerate(fills):
         fs = edge_set(fill)
@@ -190,45 +178,68 @@ def special_subgraph(
             raise InputError(f"fill {i} is not a comparability subgraph")
         fsets.append(fs)
         greens.append(cert.payload)
-    return SpecialSubgraph(tuple(fsets), orient_special(m, outer_cert.payload, greens).host)
+    return SpecialSubgraph(tuple(fsets), orient_special(p, outer_cert.payload, greens).host)
 
 
 def orient_special(
-    m: LexMapGraph, red: Orientation, greens: Sequence[Orientation]
+    p: LexProduct, red: Orientation, greens: Sequence[Orientation]
 ) -> Orientation:
-    """Refill a lexicographic map inside every supervertex and orient the
-    composite in one pass.
+    """Substitute oriented pieces into the supervertices of a composition
+    under a lifted outer orientation, building the graph and its
+    orientation in one pass.
 
-    red orients the selected outer subgraph and must be semi-transitive;
-    green i transitively orients a subgraph of the inner factor, and its
-    host is the fill of supervertex i. The combined orientation of the
-    composite graph is semi-transitive, and transitive whenever red is: a
-    directed path alternates interior segments and cross arcs, so
-    collapsing supervertices projects it onto the outer orientation, where
-    the closing arc forces all outer pairs, and inside a single supervertex
-    transitivity closes everything.
+    red orients a spanning subgraph of the outer factor and must be
+    semi-transitive; its host's edges become complete cross joins, every
+    arc i -> j all arcs from block i to block j. Green i orients a subgraph
+    of the inner factor placed in supervertex i. It must be transitive when
+    red has an edge at i and semi-transitive otherwise; each distinct green
+    object is checked once, so callers may pass [fill] * n.
+
+    The result is semi-transitive, and transitive when red and every green
+    are. A supervertex without a cross edge is a union of components, so
+    its paths stay inside it. Any other directed path alternates interior
+    segments and cross arcs: collapsing supervertices projects it onto a
+    directed path of red (red is acyclic), where a closing arc forces all
+    outer pairs, and inside one supervertex the transitive green closes
+    the rest.
     """
-    st = m.structure
-    inner = m.product.inner
-    if len(greens) != st.outer_n:
-        raise InputError(f"need one interior orientation per supervertex ({st.outer_n})")
+    n1, n2 = p.outer.n, p.inner.n
+    cross = red.host
+    if cross.n != n1:
+        raise InputError(f"cross orientation has {cross.n} vertices, not {n1}")
+    if any(row & ~p.outer.adj[i] for i, row in enumerate(cross.adj)):
+        raise InputError("cross orientation orients a non-edge of the outer factor")
     if not check_semi_transitive(red):
         raise InputError("cross orientation is not semi-transitive")
-    adj = list(m.graph.adj)
-    out = list(_lift(m, red).out)
+    if len(greens) != n1:
+        raise InputError(f"need one interior orientation per supervertex ({n1})")
+    # per distinct green: whether some supervertex holding it has a cross edge
+    crossed: dict[int, bool] = {}
+    for i, green in enumerate(greens):
+        crossed[id(green)] = crossed.get(id(green), False) or cross.adj[i] != 0
+    adj, out = _lift_rows(cross.adj, n2), _lift_rows(red.out, n2)
     for i, green in enumerate(greens):
         fill = green.host
-        if fill.n != inner.n:
-            raise InputError(f"interior orientation {i} has {fill.n} vertices, not {inner.n}")
-        if any(row & ~inner.adj[a] for a, row in enumerate(fill.adj)):
-            raise InputError(f"interior orientation {i} orients a non-edge of the inner factor")
-        if not check_transitive(green):
-            raise InputError(f"interior orientation {i} is not transitive")
-        off = i * inner.n
-        for a in range(inner.n):
+        if id(green) in crossed:
+            if fill.n != n2:
+                raise InputError(f"interior orientation {i} has {fill.n} vertices, not {n2}")
+            if any(row & ~p.inner.adj[a] for a, row in enumerate(fill.adj)):
+                raise InputError(
+                    f"interior orientation {i} orients a non-edge of the inner factor"
+                )
+            if crossed.pop(id(green)):
+                if not check_transitive(green):
+                    raise InputError(
+                        f"interior orientation {i} is not transitive, and a supervertex "
+                        "holding it has a cross edge"
+                    )
+            elif not check_semi_transitive(green):
+                raise InputError(f"interior orientation {i} is not semi-transitive")
+        off = i * n2
+        for a in range(n2):
             adj[off + a] |= fill.adj[a] << off
             out[off + a] |= green.out[a] << off
-    return Orientation(Graph(st.n, tuple(adj)), tuple(out))
+    return Orientation(Graph(p.structure.n, tuple(adj)), tuple(out))
 
 
 # ── witnesses ────────────────────────────────────────────────────────────

@@ -322,6 +322,33 @@ def test_min_product_cover_every_fixed_block_works():
         assert not decomposition_diagnostics(decompose_min_nonwr_product(p, r=r))
 
 
+def test_min_product_parts_pin_their_edge_sets():
+    w5 = wheel_graph(5)
+    p = lex_product(w5, w5)
+    st = p.structure
+    inner = w5.edges()
+
+    def block(i, edges):
+        return {(st.flat(i, a), st.flat(i, b)) for a, b in edges}
+
+    def star(a):
+        return [e for e in inner if a in e]
+
+    def minus(a):
+        return [e for e in inner if a not in e]
+
+    cross = {(u, v) for u, v in p.graph.edges() if st.split(u)[0] != st.split(v)[0]}
+    for r in range(6):
+        others = [i for i in range(6) if i != r]
+        for roots, drop in (([0] * 6, 0), ([(i + r) % 6 for i in range(6)], 5 - r)):
+            d = decompose_min_nonwr_product(p, r=r, roots=roots, drop=drop)
+            into_r = {(u, v) for u, v in cross if r in (st.split(u)[0], st.split(v)[0])}
+            part1 = (cross - into_r) | block(r, minus(drop))
+            part1 |= set().union(*(block(i, star(roots[i])) for i in others))
+            part2 = block(r, star(drop)).union(*(block(i, minus(roots[i])) for i in others))
+            assert [pt.edges for pt in d.parts] == [part1, part2, into_r]
+
+
 def test_min_product_cover_root_and_drop_freedom():
     w5 = wheel_graph(5)
     p = lex_product(w5, w5)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wordrep import lexops
 from wordrep.errors import InputError
 from wordrep.graphs import (
     Graph,
@@ -35,7 +36,7 @@ from wordrep.recognition import (
     wr_decide,
 )
 
-from conftest import random_graph
+from conftest import random_graph, record_calls
 
 
 def all_graphs(n):
@@ -253,7 +254,7 @@ def test_special_orientation_verifies_on_cycle_over_cycle():
     s = special_subgraph(m, [fill] * 5)
     red = wr_decide(c5)[1].payload
     green = comparability_decide(Graph.from_edges(5, fill))[1].payload
-    comb = orient_special(m, red, [green] * 5)
+    comb = orient_special(m.product, red, [green] * 5)
     assert check_semi_transitive(comb)
     assert comb.host == s.graph
 
@@ -281,7 +282,7 @@ def test_orient_special_with_empty_fills_reduces_to_lift():
     m = lex_map(lex_product(c5, c5), c5.edges())
     red = wr_decide(c5)[1].payload
     idle = Orientation(empty_graph(5), (0,) * 5)
-    assert orient_special(m, red, [idle] * 5) == lift_semi_transitive(m, red)
+    assert orient_special(m.product, red, [idle] * 5) == lift_semi_transitive(m, red)
 
 
 def test_orient_special_all_transitive_gives_transitive():
@@ -289,7 +290,7 @@ def test_orient_special_all_transitive_gives_transitive():
     p = lex_product(p3, p3)
     m = lex_map(p, p3.edges())
     o = comparability_decide(p3)[1].payload
-    comb = orient_special(m, o, [o] * 3)
+    comb = orient_special(m.product, o, [o] * 3)
     assert check_transitive(comb)
     assert comb.host == p.graph
 
@@ -302,13 +303,13 @@ def test_orient_special_rejects_mismatched_greens():
     # (0, 2) is not an edge of the inner path
     non_inner = Orientation.from_arcs(Graph.from_edges(3, [(0, 2)]), [(0, 2)])
     with pytest.raises(InputError):
-        orient_special(m, red, [good, non_inner, good])
+        orient_special(m.product, red, [good, non_inner, good])
     # a green on four vertices does not fit a three-vertex supervertex
     too_big = comparability_decide(path_graph(4))[1].payload
     with pytest.raises(InputError):
-        orient_special(m, red, [good, good, too_big])
+        orient_special(m.product, red, [good, good, too_big])
     with pytest.raises(InputError):  # one green per supervertex
-        orient_special(m, red, [good] * 2)
+        orient_special(m.product, red, [good] * 2)
 
 
 def test_orient_special_rejects_non_transitive_greens_and_bad_reds():
@@ -320,14 +321,88 @@ def test_orient_special_rejects_non_transitive_greens_and_bad_reds():
     chain = Orientation.from_arcs(p3, [(0, 1), (1, 2)])
     assert check_semi_transitive(chain) and not check_transitive(chain)
     with pytest.raises(InputError):
-        orient_special(m, red, [good, chain, good])
+        orient_special(m.product, red, [good, chain, good])
     # a directed 5-cycle is not semi-transitive
     mc = lex_map(lex_product(c5, p3), c5.edges())
     cyclic = Orientation.from_arcs(c5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     with pytest.raises(InputError):
-        orient_special(mc, cyclic, [good] * 5)
+        orient_special(mc.product, cyclic, [good] * 5)
     # a semi-transitive red passes with the same greens
-    assert orient_special(mc, wr_decide(c5)[1].payload, [good] * 5).host.n == 15
+    assert orient_special(mc.product, wr_decide(c5)[1].payload, [good] * 5).host.n == 15
+
+
+def orientations(g):
+    """Every orientation of g."""
+    edges = g.edges()
+    for flips in range(1 << len(edges)):
+        arcs = [(v, u) if flips >> k & 1 else (u, v) for k, (u, v) in enumerate(edges)]
+        yield Orientation.from_arcs(g, arcs)
+
+
+def test_orient_special_matches_brute_force_substitution(rng=random.Random(20)):
+    # oracle: the composite is the substitution built pair by pair; greens
+    # are transitive where red has an edge and, where g2 allows, only
+    # semi-transitive at supervertices without a cross edge
+    seen = {"chain": 0, "transitive": 0, "refused": 0}
+    for _ in range(80):
+        g1 = random_graph(rng, rng.randint(1, 4), 0.6)
+        g2 = random_graph(rng, rng.randint(1, 4), 0.7)
+        p = lex_product(g1, g2)
+        sub = Graph.from_edges(g1.n, [e for e in g1.edges() if rng.random() < 0.7])
+        red = wr_decide(sub)[1].payload
+        greens, chains = [], []
+        for i in range(g1.n):
+            fill = Graph.from_edges(g2.n, [e for e in g2.edges() if rng.random() < 0.8])
+            semi = [o for o in orientations(fill) if check_semi_transitive(o)]
+            chains.append([o for o in semi if not check_transitive(o)])
+            if sub.adj[i] or not chains[i]:
+                greens.append(comparability_decide(fill)[1].payload)
+            else:
+                greens.append(rng.choice(chains[i]))
+        comb = orient_special(p, red, greens)
+
+        n2, n = g2.n, p.graph.n
+
+        def arc(u, v):
+            (i, a), (j, b) = divmod(u, n2), divmod(v, n2)
+            return bool((red.out[i] >> j if i != j else greens[i].out[a] >> b) & 1)
+
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(u, v) for u, v in pairs if arc(u, v) or arc(v, u)]
+        assert comb.host == Graph.from_edges(n, edges)
+        assert comb.arcs() == [(u, v) for u in range(n) for v in range(n) if arc(u, v)]
+        assert check_semi_transitive(comb)
+        if check_transitive(red) and all(check_transitive(o) for o in greens):
+            assert check_transitive(comb)
+            seen["transitive"] += 1
+        else:
+            seen["chain"] += 1
+
+        # refused: a non-transitive green at a supervertex with a cross edge
+        crossed = [i for i in range(g1.n) if sub.adj[i] and chains[i]]
+        if crossed:
+            i = rng.choice(crossed)
+            bad = greens[:i] + [chains[i][0]] + greens[i + 1:]
+            with pytest.raises(InputError):
+                orient_special(p, red, bad)
+            seen["refused"] += 1
+        # refused: a red that orients a non-edge of the outer factor
+        missing = [(u, v) for u in range(g1.n) for v in range(u + 1, g1.n) if not g1.has_edge(u, v)]
+        if missing:
+            wide = Graph.from_edges(g1.n, sub.edges() + [rng.choice(missing)])
+            with pytest.raises(InputError):
+                orient_special(p, wr_decide(wide)[1].payload, greens)
+    assert all(seen.values()), seen
+
+
+def test_orient_special_checks_each_distinct_green_once(monkeypatch):
+    p3 = path_graph(3)
+    p = lex_product(cycle_graph(5), p3)
+    red = wr_decide(cycle_graph(5))[1].payload
+    good = comparability_decide(p3)[1].payload
+    checked = record_calls(monkeypatch, lexops, "check_transitive")
+    orient_special(p, red, [good] * 5)
+    assert checked == [good]
 
 
 def test_special_comparability_equivalence(rng=random.Random(16)):
