@@ -92,7 +92,6 @@ class MuResult:
 
     value: Optional[int]
     parts: tuple[Part, ...]
-    exact: bool
     status: str = "exact"
 
     def __post_init__(self) -> None:
@@ -100,5 +99,7 @@ class MuResult:
             raise InputError(f"unknown status {self.status!r}")
         if (self.status == "unknown") != (self.value is None):
             raise InputError("value must be None exactly when status is unknown")
-        if self.exact != (self.status == "exact"):
-            raise InputError("exact flag must match status")
+
+    @property
+    def exact(self) -> bool:
+        return self.status == "exact"

@@ -28,11 +28,11 @@ other representable graphs get up to 2n.
 `verify` re-checks every record against the embedded host: orientations in
 polynomial time, words in one scan of bitmask operations, witness sets by
 deciding only the induced subgraph they name. A non-comparability witness
-is decided in polynomial time at any size. A non-representable witness is
-decided on at most 10 vertices; a larger one verifies when one of its
-vertices has a non-comparability neighbourhood inside it, and otherwise
-exits 3. It never re-derives the host-level answer. Every record is
-checked, and a cap hit in one exits 3 only when no record failed.
+is decided in polynomial time. A non-representable witness, and the cover
+search behind a lower bound above 2, are decided by the usual search
+within 50,000 steps each, and exit 3 when those run out. It never
+re-derives the host-level answer. Every record is checked, and a budget
+that runs out in one exits 3 only when no record failed.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 the search
 budget ran out before the answer was known, 4 internal error (a broken
@@ -479,7 +479,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except BudgetExceeded as e:
             cut = cut or e
     if cut and not failures:
-        raise cut  # a definite failure in any record wins over a hit cap
+        raise cut  # a definite failure in any record wins over a spent budget
     out: dict = {"valid": not failures}
     if failures:
         out["failures"] = failures

@@ -51,7 +51,8 @@ from .lexops import (
     supervertex_witness,
 )
 from .recognition import (
-    _WITNESS_CAP,
+    _VERIFY_BUDGET,
+    _Budget,
     _cover_search,
     check_transitive,
     comparability_decide,
@@ -376,20 +377,14 @@ def decompose_min_nonwr_product(
 # ── verification ──────────────────────────────────────────────────────────
 
 
-# A lower bound above 2 is checked by re-running the exact cover search on
-# the witness's induced subgraph, on at most `_WITNESS_CAP` vertices and with
-# at most this many assignments for each part count below the bound.
-_LOWER_BOUND_BUDGET = 1_000
-
-
 def verify_lower_bound(d: Decomposition) -> list[str]:
     """Diagnostics for the cover's claimed lower bound; empty means it
     holds. A bound of 2 needs a witness set inducing a non-representable
     subgraph, checked by `verify_certificate` as a witness record is. A
     higher bound b also needs the cover search to find no cover of the
-    witness by 2, ..., b - 1 parts; that search raises BudgetExceeded when
-    the witness is larger than `_WITNESS_CAP` or a part count uses up
-    `_LOWER_BOUND_BUDGET` assignments."""
+    witness by 2, ..., b - 1 parts. That search and its representability
+    decisions share one budget of `_VERIFY_BUDGET` steps, and raise
+    BudgetExceeded when it runs out."""
     if d.lower_bound <= 1:
         return []
     if d.lower_bound_witness is None:
@@ -398,14 +393,10 @@ def verify_lower_bound(d: Decomposition) -> list[str]:
     diags = verify_certificate(d.host, Certificate(WITNESS, tuple(vs)))
     if diags or d.lower_bound == 2:
         return diags
-    if len(vs) > _WITNESS_CAP:
-        raise BudgetExceeded(
-            f"a lower bound above 2 is re-searched only on witnesses of at most "
-            f"{_WITNESS_CAP} vertices, this one has {len(vs)}"
-        )
     sub = induced_subgraph(d.host, vs)
+    budget = _Budget(_VERIFY_BUDGET)
     for k in range(2, d.lower_bound):
-        if _cover_search(sub, k, _LOWER_BOUND_BUDGET) is not None:
+        if _cover_search(sub, k, budget, budget.is_wr) is not None:
             return [f"witness subgraph needs only {k} parts"]
     return []
 

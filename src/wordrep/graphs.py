@@ -152,13 +152,6 @@ class Orientation:
         """All arcs (tail, head), lexicographically sorted."""
         return [(u, v) for u in range(self.host.n) for v in bits(self.out[u])]
 
-    def reversed(self) -> "Orientation":
-        inn = [0] * self.host.n
-        for u, row in enumerate(self.out):
-            for v in bits(row):
-                inn[v] |= 1 << u
-        return Orientation(self.host, tuple(inn))
-
 
 # ── lexicographic structure bookkeeping ──────────────────────────────────
 

@@ -43,17 +43,16 @@ gets an inclusion-minimal failing vertex set only when a decider asks for
 that certificate. For representability, a vertex whose neighbourhood is
 not a comparability graph gives it: the vertex plus the non-comparability
 witness found in that neighbourhood (a cone), or a greedy shrink of that
-witness when it already fails alone, once the set is small enough for
-`verify` to re-decide. Otherwise, and for comparability, the whole failing
-graph is shrunk greedily, deciding each candidate with the predicate.
-Results are memoized by graph value, up to a fixed total of vertices, and
-a witness found later is added to the graph's entry in place.
+witness when it already fails alone. Otherwise, and for comparability, the
+whole failing graph is shrunk greedily, deciding each candidate with the
+predicate. Results are memoized by graph value, up to a fixed total of
+vertices, and a witness found later is added to the graph's entry in place.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .certificates import (
     NON_COMPARABILITY,
@@ -214,6 +213,25 @@ def check_transitive(o: Orientation) -> bool:
 # ── orientation search ───────────────────────────────────────────────────
 
 
+class _Budget:
+    """A countdown of search steps that several searches can draw on:
+    `spend` raises BudgetExceeded once all `steps` are spent."""
+
+    def __init__(self, steps: int) -> None:
+        self.steps = self.left = steps
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceeded(f"the search used all {self.steps} steps of its budget")
+
+    def is_wr(self, g: Graph) -> bool:
+        """`is_wr` searching on this budget; a search that runs out stores nothing."""
+        return _decided(
+            g, _WR_MEMO, lambda h: _find_semi_transitive(h, self), check_semi_transitive, SEMI_TRANSITIVE
+        )[0]
+
+
 def _backtrack(g: Graph, state: tuple, propagate, first) -> Optional[Orientation]:
     """Orient g edge by edge in index order, backtracking on an explicit
     stack whose entries hold an edge, the state before deciding it and the
@@ -255,8 +273,9 @@ def _backtrack(g: Graph, state: tuple, propagate, first) -> Optional[Orientation
                 s[:] = saved
 
 
-def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
-    """Search for a semi-transitive orientation of g.
+def _find_semi_transitive(g: Graph, budget: Optional[_Budget] = None) -> Optional[Orientation]:
+    """Search for a semi-transitive orientation of g, spending one step of
+    `budget`, when given, per propagator call.
 
     The state keeps, beside the arcs, the strict descendants `reach` and
     the strict ancestors `anc` of every vertex over the placed arcs, so the
@@ -315,12 +334,12 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
     differ from the search's, and so may its word.
 
     Next, g is refused when some vertex refuses it by the neighbourhood rule
-    (`_refusals`), which never refuses a comparability graph.
+    (`_refusal`), which never refuses a comparability graph.
     """
     ok, cert = _decided(g, _COMP_MEMO, _find_transitive, check_transitive, TRANSITIVE)
     if ok:
         return cert.payload
-    if next(_refusals(g), None) is not None:
+    if _refusal(g) is not None:
         return None
     n, adj = g.n, g.adj
     edges = g.edges()
@@ -331,6 +350,8 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
     dirs = bytearray(len(edges))  # 0 open, 1 = as stored, 2 = reversed
 
     def propagate(i0: int, d0: int) -> bool:
+        if budget is not None:
+            budget.spend()
         queue = [(i0, d0)]
         while queue:
             recheck = []  # (p, heads q): arcs p -> q whose path sets may hold a dead pair
@@ -385,9 +406,9 @@ def _find_semi_transitive(g: Graph) -> Optional[Orientation]:
     return _backtrack(g, (out, reach, anc, dirs), propagate, first)
 
 
-def _refusals(g: Graph) -> Iterator[tuple[int, list[int]]]:
-    """Each vertex x, in index order, whose neighbourhood N(x) is not a
-    comparability graph, with N(x) in increasing order.
+def _refusal(g: Graph) -> Optional[tuple[int, list[int]]]:
+    """The first vertex x whose neighbourhood N(x) is not a comparability
+    graph, with N(x) in increasing order, or None.
 
     Such an x refuses g (Kitaev & Pyatkin, J. Autom. Lang. Comb. 13, 2008):
     if g is representable, so is G[N[x]] by heredity, and x dominates it, so
@@ -402,7 +423,8 @@ def _refusals(g: Graph) -> Iterator[tuple[int, list[int]]]:
         if nb.bit_count() > 4 and any(adj[y] & nb for y in bits(nb)):
             hood = list(bits(nb))
             if not is_comparability(induced_subgraph(g, hood)):
-                yield x, hood
+                return x, hood
+    return None
 
 
 def _find_transitive(g: Graph) -> Optional[Orientation]:
@@ -562,29 +584,27 @@ def is_comparability(g: Graph) -> bool:
 
 def _wr_witness(g: Graph) -> tuple[int, ...]:
     """An inclusion-minimal non-representable vertex set of the
-    non-representable graph g, of at most `_WITNESS_CAP` vertices where a
-    refusing vertex allows it.
+    non-representable graph g.
 
-    For a vertex x that refuses g (`_refusals`), let S be the
+    For the first vertex x that refuses g (`_refusal`), let S be the
     non-comparability witness `comparability_decide` finds inside N(x).
     Then x dominates G[S], so the cone S + x is not representable. If G[S]
     is representable, the cone is inclusion-minimal: dropping x leaves
     G[S], and dropping s from S leaves x over G[S - s], a comparability
     graph by S's minimality, which a dominating vertex keeps representable.
-    Otherwise G[S] fails on its own and is shrunk greedily. The first x
-    whose witness fits `_WITNESS_CAP`, so that `verify` can re-decide it,
-    gives the witness; with no such x, the whole graph is shrunk greedily.
+    x refuses the cone too, so `verify` settles it without a search step.
+    Otherwise G[S] fails on its own and is shrunk greedily. With no
+    refusing x, the whole graph is shrunk greedily.
     """
-    for x, hood in _refusals(g):
-        s = [hood[i] for i in comparability_decide(induced_subgraph(g, hood))[1].payload]
-        core = induced_subgraph(g, s)
-        if is_wr(core):
-            witness = tuple(sorted(s + [x]))
-        else:
-            witness = tuple(s[i] for i in _shrink_witness(core, is_wr))
-        if len(witness) <= _WITNESS_CAP:
-            return witness
-    return _shrink_witness(g, is_wr)
+    refusal = _refusal(g)
+    if refusal is None:
+        return _shrink_witness(g, is_wr)
+    x, hood = refusal
+    s = [hood[i] for i in comparability_decide(induced_subgraph(g, hood))[1].payload]
+    core = induced_subgraph(g, s)
+    if is_wr(core):
+        return tuple(sorted(s + [x]))
+    return tuple(s[i] for i in _shrink_witness(core, is_wr))
 
 
 def wr_decide(g: Graph) -> tuple[bool, Certificate]:
@@ -597,9 +617,10 @@ def wr_decide(g: Graph) -> tuple[bool, Certificate]:
     closure test. On other graphs the worst case is exponential in the edge
     count; fine for the graph sizes the rest of the package feeds it
     (factors, supervertices, witnesses). A failing graph with a vertex
-    whose neighbourhood is not a comparability graph gets that vertex's
-    cone as its witness (`_wr_witness`), found without shrinking the whole
-    graph. Callers that need only the verdict use `is_wr`, which builds no
+    whose neighbourhood is not a comparability graph gets the first such
+    vertex's cone as its witness (`_wr_witness`), found without shrinking
+    the whole graph, and that vertex refuses the cone with no search.
+    Callers that need only the verdict use `is_wr`, which builds no
     witness.
     """
     res = _decided(g, _WR_MEMO, _find_semi_transitive, check_semi_transitive, SEMI_TRANSITIVE)
@@ -783,16 +804,17 @@ def find_word(g: Graph) -> Optional[tuple[int, ...]]:
 # ── cover number over representable parts ────────────────────────────────
 
 
-def _cover_search(g: Graph, k: int, limit: Optional[int]) -> Optional[list[frozenset]]:
+def _cover_search(g: Graph, k: int, budget: Optional[_Budget], part_ok=is_wr) -> Optional[list[frozenset]]:
     """Find a cover of g's edges by k representable spanning subgraphs, or
     prove none exists; overlaps are allowed.
 
     Edges are assigned non-empty part subsets in colex vertex order; each
     time all edges inside a prefix 0..v are placed, every part's induced
     subgraph on the prefix is final and must already be representable
-    (representability is hereditary), which prunes hard. Parts are
-    interchangeable, so a new part index may be opened only in consecutive
-    order. Raises BudgetExceeded after `limit` assignments.
+    (representability is hereditary), which `part_ok` decides and which
+    prunes hard. Parts are interchangeable, so a new part index may be
+    opened only in consecutive order. Each assignment spends one step of
+    `budget`, when given.
     """
     n = g.n
     edges = sorted(g.edges(), key=lambda e: (e[1], e[0]))
@@ -802,12 +824,11 @@ def _cover_search(g: Graph, k: int, limit: Optional[int]) -> Optional[list[froze
         last_at_level[i] = i + 1 == m or edges[i + 1][1] != v
     subsets = sorted(range(1, 1 << k), key=lambda s: (s.bit_count(), s))
     padj = [[0] * n for _ in range(k)]
-    nodes = 0
 
     def prefix_ok(top: int) -> bool:
         for p in range(k):
             rows = tuple(padj[p][w] for w in range(top + 1))
-            if any(rows) and not is_wr(Graph(top + 1, rows)):
+            if any(rows) and not part_ok(Graph(top + 1, rows)):
                 return False
         return True
 
@@ -836,9 +857,8 @@ def _cover_search(g: Graph, k: int, limit: Optional[int]) -> Optional[list[froze
             continue
         s = subsets[tried[i]]
         tried[i] += 1
-        nodes += 1
-        if limit is not None and nodes > limit:
-            raise BudgetExceeded(f"cover search passed {limit} assignments at k={k}")
+        if budget is not None:
+            budget.spend()
         fresh = s >> used[i]
         if fresh and fresh != (1 << fresh.bit_count()) - 1:
             continue  # parts must be opened in consecutive order
@@ -872,18 +892,19 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
     """Smallest number of word-representable spanning subgraphs whose edge
     union is g, found by exhausting part counts bottom-up.
 
-    `budget` caps the assignments tried per part count. A level cut short by
+    `budget` caps the assignments tried per part count, not the decisions
+    inside them, so the memo cannot change the result. A level cut short by
     the budget downgrades any later answer to an upper bound; if the budget
     kills every level before a cover shows up the result is unknown. Once a
     level is cut short, part counts stop at `_colour_bits(g)`, where a cover
     is known to exist; an unbudgeted search finds one there at the latest.
     """
     if is_wr(g):
-        return MuResult(1, (Part(frozenset(g.edges()), wr_decide(g)[1]),), True, "exact")
+        return MuResult(1, (Part(frozenset(g.edges()), wr_decide(g)[1]),), "exact")
     all_exhausted, top, k = True, 0, 2
     while all_exhausted or k <= top:
         try:
-            cover = _cover_search(g, k, budget)
+            cover = _cover_search(g, k, None if budget is None else _Budget(budget))
         except BudgetExceeded:
             cover = None
             if all_exhausted:
@@ -892,32 +913,27 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
             parts = tuple(
                 Part(es, wr_decide(Graph.from_edges(g.n, es))[1]) for es in cover
             )
-            status = "exact" if all_exhausted else "upper-bound"
-            return MuResult(k, parts, all_exhausted, status)
+            return MuResult(k, parts, "exact" if all_exhausted else "upper-bound")
         k += 1
-    return MuResult(None, (), False, "unknown")
+    return MuResult(None, (), "unknown")
 
 
-# ── certificate verification (no search re-run) ──────────────────────────
+# ── certificate verification ─────────────────────────────────────────────
 
 
-# The document chooses the subgraphs `verify` decides, so the exponential
-# checks are capped at this many vertices: `is_wr` on a non-representable
-# witness, and the cover search that checks a lower bound above 2. Past the
-# cap a non-representable witness still verifies when some vertex refuses it
-# by the neighbourhood rule, and raises BudgetExceeded otherwise;
-# comparability is decided in polynomial time at any size. A graph on at
-# most 10 vertices splits into 4 bipartite, hence representable, parts, so
-# the cover search then tries at most three part counts.
-_WITNESS_CAP = 10
+# The document chooses the subgraphs `verify` decides, so each search it
+# runs, a non-representable witness's re-decision or the cover search behind
+# a lower bound above 2, stops after this many steps.
+_VERIFY_BUDGET = 50_000
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> list[str]:
     """Check one certificate against the graph it claims to describe.
     Returns diagnostics; empty means it verifies. A non-comparability
-    witness is re-decided at any size, and a non-representable one on at
-    most `_WITNESS_CAP` vertices; a larger one verifies when some vertex of
-    it refuses it (`_refusals`) and raises BudgetExceeded otherwise."""
+    witness is re-decided in polynomial time, and a non-representable one
+    by the representability search within `_VERIFY_BUDGET` steps, which
+    raises BudgetExceeded when they run out. A vertex that refuses the
+    witness (`_refusal`) settles it before any step is spent."""
     try:
         if cert.kind in (SEMI_TRANSITIVE, TRANSITIVE):
             o = cert.payload
@@ -939,14 +955,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> list[str]:
             if cert.kind == NON_COMPARABILITY:
                 if is_comparability(sub):
                     return ["witness set induces a comparability subgraph"]
-            elif len(vs) <= _WITNESS_CAP:
-                if is_wr(sub):
-                    return ["witness set induces a representable subgraph"]
-            elif next(_refusals(sub), None) is None:
-                raise BudgetExceeded(
-                    f"a witness with no refusing vertex is re-decided only on at most "
-                    f"{_WITNESS_CAP} vertices, this one has {len(vs)}"
-                )
+            elif _Budget(_VERIFY_BUDGET).is_wr(sub):
+                return ["witness set induces a representable subgraph"]
     except InputError as e:
         return [f"malformed certificate: {e}"]
     return []

@@ -444,25 +444,25 @@ def test_verify_rejects_any_single_deleted_arc_or_edge(data):
 
 def test_verify_caps_the_lower_bound_search(monkeypatch):
     # a bound above 2 re-runs the cover search on a witness the document
-    # picks, so that search is capped, and a hit cap exits 3, not 1
+    # picks, so that search has a step budget, and a spent budget exits 3,
+    # not 1
     tampered = doc(cover_document(1))
     rec = next(r for r in tampered["certificates"] if r["kind"] == "decomposition")
     rec["lower_bound"] = 3
-    rec["lower_bound_witness"] = list(range(11))
+    # the first supervertex, a wheel, plus four or five more: two parts
+    # cover it, at any witness size
+    for size in (10, 11):
+        rec["lower_bound_witness"] = list(range(size))
+        code, _, err = run(["verify", json.dumps(tampered)])
+        assert code == 1 and "needs only 2 parts" in err
+    monkeypatch.setattr(decomposition, "_VERIFY_BUDGET", 1)
     code, _, err = run(["verify", json.dumps(tampered)])
-    assert code == 3 and "at most 10 vertices" in err
-    # the first supervertex, a wheel, plus four more: two parts cover it
-    rec["lower_bound_witness"] = list(range(10))
-    code, _, err = run(["verify", json.dumps(tampered)])
-    assert code == 1 and "needs only 2 parts" in err
-    monkeypatch.setattr(decomposition, "_LOWER_BOUND_BUDGET", 1)
-    code, _, err = run(["verify", json.dumps(tampered)])
-    assert code == 3 and "budget exhausted" in err
+    assert code == 3 and "budget exhausted" in err and "all 1 steps" in err
 
 
 def test_verify_caps_witness_records():
-    # a witness record names the subgraph verify decides, so its size is
-    # capped like a lower-bound witness's
+    # a witness record names the subgraph verify decides, which is decided
+    # under a step budget at any size, like a lower-bound witness
     bogus = {
         "schema_version": "1",
         "host": encode_graph6(path_graph(12)),
@@ -471,11 +471,10 @@ def test_verify_caps_witness_records():
         "certificates": [{"kind": "non-representable-witness", "vertices": list(range(11))}],
         "timing": 0,
     }
-    code, _, err = run(["verify", json.dumps(bogus)])
-    assert code == 3 and "at most 10 vertices" in err
-    bogus["certificates"][0]["vertices"] = list(range(5))
-    code, _, err = run(["verify", json.dumps(bogus)])
-    assert code == 1 and "representable subgraph" in err
+    for size in (11, 5):
+        bogus["certificates"][0]["vertices"] = list(range(size))
+        code, _, err = run(["verify", json.dumps(bogus)])
+        assert code == 1 and "representable subgraph" in err
     # comparability is re-decided in polynomial time at any size: C11 is a
     # minimal non-comparability graph, so its witness is all 11 vertices
     code, out, _ = run(["check", "--comparability", encode_graph6(cycle_graph(11))])
@@ -531,16 +530,18 @@ def test_verify_decides_no_large_triangle_free_witness():
     # with no parts, the uncovered edges are a definite failure
     proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
     assert proc.returncode == 1 and "covered by no part" in proc.stderr
-    # with a verified cover, only the bound is left, and it is not decided
+    # with a verified cover, only the bound is left, and its search runs out
+    # of steps
     bound["parts"] = bipartite_parts(m6)
     proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
-    assert proc.returncode == 3 and "at most 10 vertices" in proc.stderr
+    assert proc.returncode == 3 and "all 50000 steps of its budget" in proc.stderr
 
 
 def test_one_witness_verifies_alike_in_every_document():
     # the Grötzsch graph is minimal non-representable on 11 vertices and
     # triangle-free; `check --wr` and `mu` name it whole, and `verify`
-    # treats the witness record and the lower bound the same way
+    # re-decides the witness record and the lower bound alike, by a search
+    # well within its budget
     grotzsch = "JhdLA_gc?N_"
     code, checked, _ = run(["check", "--wr", grotzsch])
     assert code == 0
@@ -548,20 +549,31 @@ def test_one_witness_verifies_alike_in_every_document():
     assert code == 0
     witness = doc(checked)["result"]["witness"]
     assert doc(covered)["certificates"][0]["lower_bound_witness"] == witness == list(range(11))
-    assert run(["verify", "-"], stdin=checked)[0] == run(["verify", "-"], stdin=covered)[0] == 3
+    assert run(["verify", "-"], stdin=checked)[0] == run(["verify", "-"], stdin=covered)[0] == 0
+
+
+def test_min_product_of_grotzsch_graphs_verifies():
+    # the paper's three-part cover of two minimal non-representable
+    # factors, whose bound-2 witness is a whole Grötzsch supervertex
+    grotzsch = "JhdLA_gc?N_"
+    code, out, err = run(["mu", grotzsch, grotzsch, "--constructive", "min-product"])
+    assert code == 0, err
+    assert doc(out)["result"]["mu_interval"] == [2, 3]
+    assert reverify(out) == 0
 
 
 def test_product_two_cone_verifies_without_a_large_decision(monkeypatch):
     # K2 over C11: the lower-bound witness is one 11-cycle plus a vertex of
     # the other supervertex, which sees all of it and so refuses the set
+    # before any search
     code, out, _ = run(["mu", encode_graph6(complete_graph(2)), encode_graph6(cycle_graph(11)),
                         "--constructive", "product-two"])
     assert code == 0
     rec = doc(out)["certificates"][0]
     assert rec["lower_bound"] == 2 and len(rec["lower_bound_witness"]) == 12
-    decided = [record_calls(monkeypatch, m, "is_wr") for m in (recognition, decomposition)]
+    searched = record_calls(monkeypatch, recognition, "_backtrack")
     assert reverify(out) == 0
-    assert all(g.n <= recognition._WITNESS_CAP for calls in decided for g in calls)
+    assert searched == []
 
 
 def test_product_over_a_large_minimal_factor_verifies_by_its_cone():
@@ -574,20 +586,25 @@ def test_product_over_a_large_minimal_factor_verifies_by_its_cone():
     assert reverify(out) == 0
 
 
-def test_verify_reports_a_failure_past_a_hit_cap():
-    # an 11-vertex path is no witness, but with no refusing vertex verify
-    # would not decide it; a definitely broken record elsewhere still exits 1
+def test_verify_reports_a_failure_past_a_hit_cap(monkeypatch):
+    # with a 10-step budget verify cannot decide the triangle-free Grötzsch
+    # graph, which no vertex refuses; a definitely broken record elsewhere
+    # still exits 1
+    monkeypatch.setattr(recognition, "_VERIFY_BUDGET", 10)
+    monkeypatch.setattr(recognition, "_WR_MEMO", recognition._Memo())
     capped = {"kind": "non-representable-witness", "vertices": list(range(11))}
-    broken = {"kind": "semi-transitive-orientation", "arcs": [[0, 5]]}
-    p12 = path_graph(12)
-    code, out, err = run(["verify", claim(p12, [capped, broken])])
+    broken = {"kind": "semi-transitive-orientation", "arcs": [[0, 2]]}
+    grotzsch = parse_graph("JhdLA_gc?N_")
+    assert not grotzsch.has_edge(0, 2)
+    code, out, err = run(["verify", claim(grotzsch, [capped, broken])])
     assert code == 1 and "certificate 1" in err
-    assert doc(out)["failures"] == ["certificate 1: malformed record: arc (0, 5) is not an edge of the host"]
-    assert run(["verify", claim(p12, [capped])])[0] == 3
+    assert doc(out)["failures"] == ["certificate 1: malformed record: arc (0, 2) is not an edge of the host"]
+    code, _, err = run(["verify", claim(grotzsch, [capped])])
+    assert code == 3 and "all 10 steps" in err
     # a cover with no parts fails whatever its bound-3 witness would give
     bound = {"kind": "decomposition", "provenance": "search", "parts": [],
              "lower_bound": 3, "lower_bound_witness": list(range(11))}
-    code, _, err = run(["verify", claim(p12, [bound])])
+    code, _, err = run(["verify", claim(grotzsch, [bound])])
     assert code == 1 and "covered by no part" in err
 
 
@@ -781,10 +798,10 @@ def test_tight_product_over_a_large_outer_factor_verifies_by_its_cone():
     assert reverify(out) == 0
 
 
-def test_check_wr_witness_fits_the_verify_cap():
-    # W11 with its hub indexed first, plus a disjoint W5: the hub's cone is
-    # all 12 vertices of W11, past what `verify` re-decides, so the witness
-    # comes from the W5's hub
+def test_check_wr_witness_fits_the_verify_cap(monkeypatch):
+    # W11 with its hub indexed first, plus a disjoint W5: the first refusing
+    # vertex is W11's hub, so the witness is its cone, all 12 vertices of
+    # W11, and the hub refuses it again in `verify` with no search
     w11 = [(0, i) for i in range(1, 12)] + [(i, i % 11 + 1) for i in range(1, 12)]
     w5 = [(u + 12, v + 12) for u, v in wheel_graph(5).edges()]
     host = encode_graph6(Graph.from_edges(18, w11 + w5))
@@ -792,8 +809,10 @@ def test_check_wr_witness_fits_the_verify_cap():
     assert code == 0
     d = doc(out)
     assert d["result"]["wr"] is False
-    assert len(d["result"]["witness"]) <= recognition._WITNESS_CAP
+    assert d["result"]["witness"] == list(range(12))
+    searched = record_calls(monkeypatch, recognition, "_backtrack")
     assert reverify(out) == 0
+    assert searched == []
 
 
 def test_closed_stdout_exits_141_without_traceback():

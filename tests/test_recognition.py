@@ -58,6 +58,7 @@ from wordrep.recognition import (
 )
 
 CORPUS6 = Path(__file__).parent / "data" / "graphs6.g6"
+GROTZSCH, CHVATAL = "JhdLA_gc?N_", "KhdLA_hc?L_y"
 
 # ── words ────────────────────────────────────────────────────────────────
 
@@ -244,8 +245,9 @@ def test_reversal_preserves_both():
         g = random_graph(rng, rng.randint(2, 6))
         arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()]
         o = Orientation.from_arcs(g, arcs)
-        assert check_semi_transitive(o) == check_semi_transitive(o.reversed())
-        assert check_transitive(o) == check_transitive(o.reversed())
+        back = Orientation.from_arcs(o.host, [(v, u) for u, v in o.arcs()])
+        assert check_semi_transitive(o) == check_semi_transitive(back)
+        assert check_transitive(o) == check_transitive(back)
 
 
 # ── deciders ─────────────────────────────────────────────────────────────
@@ -363,7 +365,6 @@ def test_wr_witness_is_minimal(w5, h8):
     failing += [planted_w5(rng, n) for n in range(7, 14) for _ in range(2)]
     for g in failing:
         witness = wr_decide(g)[1].payload
-        assert len(witness) <= recognition._WITNESS_CAP
         assert not wr_by_vertex_orders(induced_subgraph(g, witness))
         for drop in range(len(witness)):
             rest = witness[:drop] + witness[drop + 1:]
@@ -668,19 +669,50 @@ def test_verify_certificate_kinds(c5, w5):
 
 
 def test_verify_certificate_past_the_cap(monkeypatch):
-    cap = recognition._WITNESS_CAP
-    c11, p11 = cycle_graph(cap + 1), path_graph(cap + 1)
-    everything = tuple(range(cap + 1))
+    c11, p11, grotzsch = cycle_graph(11), path_graph(11), decode_graph6(GROTZSCH)
+    everything = tuple(range(11))
     # comparability is re-decided at any size, both ways
     assert verify_certificate(c11, Certificate(NON_COMPARABILITY, everything)) == []
     assert verify_certificate(p11, Certificate(NON_COMPARABILITY, everything))
+    # representability is re-decided at any size within the step budget
+    _fresh_memos(monkeypatch)
+    assert verify_certificate(p11, Certificate(WITNESS, everything))
+    assert verify_certificate(grotzsch, Certificate(WITNESS, everything)) == []
     # a hub over C11 refuses the wheel, so it verifies with no search
-    w11 = Graph.from_edges(cap + 2, c11.edges() + [(v, cap + 1) for v in everything])
-    decided = record_calls(monkeypatch, recognition, "is_wr")
-    assert verify_certificate(w11, Certificate(WITNESS, everything + (cap + 1,))) == []
-    assert decided == []
-    # with no refusing vertex the claim is neither confirmed nor refuted
-    for g in (p11, decode_graph6("JhdLA_gc?N_")):
-        with pytest.raises(BudgetExceeded):
-            verify_certificate(g, Certificate(WITNESS, everything))
-    assert decided == []
+    w11 = Graph.from_edges(12, c11.edges() + [(v, 11) for v in everything])
+    searched = record_calls(monkeypatch, recognition, "_backtrack")
+    assert verify_certificate(w11, Certificate(WITNESS, everything + (11,))) == []
+    assert searched == []
+    # a budget that runs out neither confirms nor refutes the claim
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(recognition, "_VERIFY_BUDGET", 10)
+    with pytest.raises(BudgetExceeded):
+        verify_certificate(grotzsch, Certificate(WITNESS, everything))
+    assert len(searched) == 1
+
+
+def test_verify_certificate_accepts_every_wr_decide_witness(monkeypatch):
+    # the non-representable graphs on at most 6 vertices, the one in the
+    # graph6 corpus, planted wheels on 7-13 vertices, and two triangle-free
+    # graphs no vertex refuses; each witness is re-decided from a cold memo,
+    # so by a search that must finish within the budget
+    rng = random.Random(20261021)
+    failing = [g for g in _exhaustive_corpus() if not is_wr(g)]
+    assert len(failing) == 73
+    failing += [planted_w5(rng, n) for n in range(7, 14) for _ in range(2)]
+    failing += [decode_graph6(GROTZSCH), decode_graph6(CHVATAL)]
+    for g in failing:
+        cert = wr_decide(g)[1]
+        _fresh_memos(monkeypatch)
+        assert verify_certificate(g, cert) == []
+    assert len(cert.payload) == 12  # the Chvátal graph is minimal
+
+
+def test_a_budget_that_runs_out_stores_no_verdict(monkeypatch):
+    _fresh_memos(monkeypatch)
+    grotzsch = decode_graph6(GROTZSCH)
+    with pytest.raises(BudgetExceeded):
+        recognition._Budget(10).is_wr(grotzsch)
+    assert dict(recognition._WR_MEMO) == {} and recognition._WR_MEMO.vertices == 0
+    assert not is_wr(grotzsch)
+    assert recognition._WR_MEMO[grotzsch] == (False, None)
