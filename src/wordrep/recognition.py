@@ -21,19 +21,22 @@ The engine rests on three facts:
 
 Each search keeps a partial state and a propagator, which places an arc
 plus every direction it forces and rejects dead partial states, and walks
-the edges in index order. Comparability is decided by forcing alone: one
+a fixed list of the edges. Comparability is decided by forcing alone: one
 forward pass, in polynomial time, because on a comparability graph no
 choice the pass makes can fail (the proof is `_find_transitive`'s
 docstring). Representability backtracks, in `_backtrack`: an
 explicit-stack search, so its depth is bounded by memory rather than by
-the interpreter's recursion limit. The semi-transitive propagator keeps
+the interpreter's recursion limit. It decides the edges in maximum
+cardinality search order (`_search_order`), so a failing search meets its
+dead states near the top of its tree. The semi-transitive propagator keeps
 ancestor and descendant sets, so after each new arc it rechecks only the
 arcs and open edges that arc can affect. That search also orders its
 values: at each decision it tries first the direction that adds the fewest
 reachable pairs, so sparse graphs get short chains and small sets (a path
 labelled in order gets no directed path of two arcs). Every decision still
-tries both directions before giving up, so the order changes which
-orientation is found, never the verdict.
+tries both directions before giving up, and which states are dead does not
+depend on the order their arcs were placed in, so neither order changes a
+verdict, only which orientation is found.
 
 Each property has a predicate (`is_wr`, `is_comparability`) that returns
 the verdict alone, and a decider (`wr_decide`, `comparability_decide`) that
@@ -233,10 +236,11 @@ class _Budget:
 
 
 def _backtrack(g: Graph, state: tuple, propagate, first) -> Optional[Orientation]:
-    """Orient g edge by edge in index order, backtracking on an explicit
-    stack whose entries hold an edge, the state before deciding it and the
-    directions still to try. Only the semi-transitive search backtracks;
-    `_find_transitive` decides by forcing alone.
+    """Orient g edge by edge in the order of the propagator's edge list,
+    backtracking on an explicit stack whose entries hold an edge, the state
+    before deciding it and the directions still to try. Only the
+    semi-transitive search backtracks; `_find_transitive` decides by
+    forcing alone.
 
     `state` is a tuple of mutable sequences: the arc out-sets first, the
     edge directions last (a bytearray, 0 open, 1 = as stored, 2 =
@@ -321,6 +325,17 @@ def _find_semi_transitive(g: Graph, budget: Optional[_Budget] = None) -> Optiona
     same tree on a non-representable graph and finds some orientation on a
     representable one.
 
+    Edges are decided in `_search_order`, not by index: the triangle-free
+    Mycielskian of the Grötzsch graph (23 vertices) is refuted in 6,707
+    propagator calls, where index order took 380,079. The order cannot
+    change a verdict. Given any semi-transitive orientation O, the first
+    decision agrees with O or its reversal, every later decision has a
+    branch that agrees with it, and the propagator places only arcs that
+    every semi-transitive orientation holding the placed ones must have
+    and rejects only states that none extends, whatever order the arcs came
+    in. So the search finds an orientation exactly when one exists, and
+    only which one it finds depends on the order.
+
     Before any search, a comparability graph is answered by `_find_transitive`
     through `_COMP_MEMO`, where `comparability_decide` then finds it: a
     transitive orientation is semi-transitive, and the pass finds one in
@@ -342,7 +357,7 @@ def _find_semi_transitive(g: Graph, budget: Optional[_Budget] = None) -> Optiona
     if _refusal(g) is not None:
         return None
     n, adj = g.n, g.adj
-    edges = g.edges()
+    edges = _search_order(g)
     eix = {e: i for i, e in enumerate(edges)}
     out = [0] * n
     reach = [0] * n  # strict descendants over placed arcs
@@ -404,6 +419,32 @@ def _find_semi_transitive(g: Graph, budget: Optional[_Budget] = None) -> Optiona
         return 2 if grow_vu < grow_uv else 1
 
     return _backtrack(g, (out, reach, anc, dirs), propagate, first)
+
+
+def _search_order(g: Graph) -> list[tuple[int, int]]:
+    """The edges of g, each as (u, v) with u < v, in the order the
+    semi-transitive search decides them.
+
+    Vertices are ranked by maximum cardinality search (Tarjan & Yannakakis,
+    SIAM J. Comput. 13, 1984): each step ranks the unranked vertex with the
+    most ranked neighbours, the lowest index on a tie. Edges are sorted by
+    the rank of their later end, then of their earlier end, so the edges
+    among the first k ranked vertices come first, and each new vertex brings
+    as many edges into the decided part as it can. Cycles close, and dead
+    states show, near the top of the search tree (fail first: Haralick &
+    Elliott, Artif. Intell. 14, 1980). Breaking ties by index rather than
+    by degree keeps the worst searches on graphs of shuffled words short.
+    """
+    weight = [0] * g.n
+    rank = [0] * g.n
+    left = (1 << g.n) - 1
+    for r in range(g.n):
+        v = max(bits(left), key=weight.__getitem__)
+        rank[v] = r
+        left &= ~(1 << v)
+        for w in bits(g.adj[v] & left):
+            weight[w] += 1
+    return sorted(g.edges(), key=lambda e: (max(rank[e[0]], rank[e[1]]), min(rank[e[0]], rank[e[1]])))
 
 
 def _refusal(g: Graph) -> Optional[tuple[int, list[int]]]:

@@ -518,23 +518,28 @@ def bipartite_parts(g: Graph) -> list[dict]:
 
 
 def test_verify_decides_no_large_triangle_free_witness():
-    # M6, the third Mycielskian of C5: 47 vertices, triangle-free, so no
+    # M7, the fourth Mycielskian of C5: 95 vertices, triangle-free, so no
     # vertex has an edge in its neighbourhood and none refuses it. Deciding
     # the witness would be an orientation search the document picked.
     m6 = cycle_graph(5)
     for _ in range(3):
         m6 = mycielskian(m6)
-    assert m6.n == 47
+    m7 = mycielskian(m6)
+    assert (m6.n, m7.n) == (47, 95)
     bound = {"kind": "decomposition", "provenance": "search", "parts": [],
-             "lower_bound": 2, "lower_bound_witness": list(range(47))}
+             "lower_bound": 2, "lower_bound_witness": list(range(95))}
     # with no parts, the uncovered edges are a definite failure
-    proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
+    proc = child(["verify", "-"], stdin=claim(m7, [bound]), timeout=10)
     assert proc.returncode == 1 and "covered by no part" in proc.stderr
     # with a verified cover, only the bound is left, and its search runs out
     # of steps
-    bound["parts"] = bipartite_parts(m6)
-    proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
+    bound["parts"] = bipartite_parts(m7)
+    proc = child(["verify", "-"], stdin=claim(m7, [bound]), timeout=10)
     assert proc.returncode == 3 and "all 50000 steps of its budget" in proc.stderr
+    # M6's search ends within the budget, so its bound verifies
+    bound.update(parts=bipartite_parts(m6), lower_bound_witness=list(range(47)))
+    proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_one_witness_verifies_alike_in_every_document():

@@ -59,6 +59,7 @@ from wordrep.recognition import (
 
 CORPUS6 = Path(__file__).parent / "data" / "graphs6.g6"
 GROTZSCH, CHVATAL = "JhdLA_gc?N_", "KhdLA_hc?L_y"
+M5 = "VhdLA_gc?NhQhOSgDICh?QAA_GA_O@OOAOG?@{???N~_"  # the Mycielskian of Grötzsch
 
 # ── words ────────────────────────────────────────────────────────────────
 
@@ -436,6 +437,54 @@ def test_value_order_keeps_every_verdict(monkeypatch):
     assert all(check_semi_transitive(o) for o in found + stored if o is not None)
     assert 0 < sum(o is None for o in found) < len(corpus)
     assert any(a != b for a, b in zip(found, stored))
+
+
+def _word_graph(rng: random.Random, n: int, copies: int) -> Graph:
+    """The graph of a shuffled word holding each of n letters `copies` times."""
+    word = [v for v in range(n) for _ in range(copies)]
+    rng.shuffle(word)
+    return graph_of_word(word, n)
+
+
+def test_edge_order_keeps_every_verdict(monkeypatch):
+    rng = random.Random(20261023)
+    corpus = _verdict_corpus()
+    corpus += [planted_w5(rng, n) for n in range(7, 13) for _ in range(5)]
+    words = [_word_graph(rng, n, copies) for n in range(16, 23) for copies in (2, 3)]
+    corpus += words
+    # comparability graphs would skip the search, and with it the order
+    _without_forcing_pass(monkeypatch)
+    _fresh_memos(monkeypatch)
+    ranked = [recognition._find_semi_transitive(g) for g in corpus]
+    monkeypatch.setattr(recognition, "_search_order", lambda g: g.edges())
+    _fresh_memos(monkeypatch)
+    indexed = [recognition._find_semi_transitive(g) for g in corpus]
+    assert [o is None for o in ranked] == [o is None for o in indexed]
+    assert all(check_semi_transitive(o) for o in ranked + indexed if o is not None)
+    assert 0 < sum(o is None for o in ranked) < len(corpus)
+    assert all(o is not None for o in ranked[-len(words):])
+    assert any(a != b for a, b in zip(ranked, indexed))
+
+
+def test_search_order_ranks_by_maximum_cardinality():
+    # a triangle 0, 3, 5 with a path 5, 1, 2, 4 hanging off it: 0 first,
+    # then 3 (one ranked neighbour, tied with 5 and lower), 5 (two), then
+    # down the path; each edge comes when its later end is ranked
+    g = Graph.from_edges(6, [(0, 3), (3, 5), (0, 5), (1, 5), (1, 2), (2, 4)])
+    assert recognition._search_order(g) == [(0, 3), (0, 5), (3, 5), (1, 5), (1, 2), (2, 4)]
+
+
+def test_hard_inputs_decide_within_budget(monkeypatch):
+    # M5 is triangle-free, so no vertex refuses it, and the search must
+    # refute it; a 30-vertex graph of a shuffled 3-uniform word is
+    # representable and the search must find an orientation
+    _fresh_memos(monkeypatch)
+    m5 = decode_graph6(M5)
+    assert recognition._find_semi_transitive(m5, recognition._Budget(recognition._VERIFY_BUDGET)) is None
+    _fresh_memos(monkeypatch)
+    word = decode_graph6("]I?A_GP?OAGO@???AgG??AG?@@_a?O?_O????_???????C_OMH`????LC@WOP?E?OJ?oGG?G?O")
+    o = recognition._find_semi_transitive(word, recognition._Budget(1000))
+    assert o is not None and check_semi_transitive(o)
 
 
 def test_forcing_pass_keeps_every_verdict(monkeypatch):
