@@ -487,6 +487,30 @@ def test_hard_inputs_decide_within_budget(monkeypatch):
     assert o is not None and check_semi_transitive(o)
 
 
+def test_race_answers_with_whichever_search_ends_first():
+    def search(steps: int, answer: str):
+        for _ in range(steps):
+            yield
+        return answer
+
+    head = recognition._RACE_HEAD
+    built = []
+    assert recognition._race(search(5, "lead"), lambda: built.append(1)) == "lead"
+    assert not built  # a search that ends within the head races nothing
+    assert recognition._race(search(head + 100, "lead"), lambda: search(10, "other")) == "other"
+    assert recognition._race(search(head + 10, "lead"), lambda: search(10, "other")) == "lead"
+
+
+def test_race_cuts_the_ranked_orders_tail(monkeypatch):
+    # the graph of a shuffled 2-uniform word on 16 letters: the search in
+    # maximum-cardinality order alone takes 1,101,358 propagator calls,
+    # index order 2,705
+    _fresh_memos(monkeypatch)
+    g = decode_graph6("Ow}b^oayvo|~}Vyr~Jy??")
+    o = recognition._find_semi_transitive(g, recognition._Budget(20_000))
+    assert o is not None and check_semi_transitive(o)
+
+
 def test_forcing_pass_keeps_every_verdict(monkeypatch):
     corpus = _verdict_corpus()
 
