@@ -4,12 +4,13 @@ Every decision the package emits travels with a certificate that a checker
 can re-verify without repeating the original search: an orientation (to be
 checked acyclic and shortcut-free, or transitively closed), a representing
 word, or a vertex set inducing a subgraph with no representation. Edge
-covers bundle one certificate per part.
+covers bundle one orientation certificate per part, and the orientation's
+host is the part: a spanning subgraph of the covered graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
@@ -53,24 +54,17 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class Part:
-    """One part of an edge cover: its edge set plus the certificate that the
-    spanning subgraph on those edges is word-representable."""
-
-    edges: frozenset[tuple[int, int]]
-    certificate: Certificate
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """A cover of a host graph's edges by word-representable parts.
 
-    Parts may overlap. lower_bound (with its optional inducing witness) is
+    Each part is an orientation certificate whose host is the part's
+    spanning subgraph, so its edges are that host's edges. Parts may
+    overlap. lower_bound (with its optional inducing witness) is
     the best certified lower bound on how many parts any cover needs.
     """
 
     host: Graph
-    parts: tuple[Part, ...]
+    parts: tuple[Certificate, ...]
     provenance: str
     lower_bound: int = 1
     lower_bound_witness: Optional[tuple[int, ...]] = None
@@ -87,11 +81,12 @@ class MuResult:
     status is one of "exact" (all smaller part counts exhausted),
     "upper-bound" (a cover was found but some smaller count was cut off by
     the budget), or "unknown" (budget ran out before any cover appeared, in
-    which case value is None and parts is empty).
+    which case value is None and parts is empty). Parts are orientation
+    certificates, as in `Decomposition`.
     """
 
     value: Optional[int]
-    parts: tuple[Part, ...]
+    parts: tuple[Certificate, ...]
     status: str = "exact"
 
     def __post_init__(self) -> None:

@@ -18,8 +18,10 @@ records carry "arcs" as [from, to] pairs sorted lexicographically; an
 optional "scope" (an ascending list of host vertices) says the claim is
 about the induced subgraph on those vertices, with arcs written in the
 induced graph's positional labels. Witness records carry "vertices" in
-host labels. A "decomposition" record bundles edge-cover parts with their
-orientations plus the certified lower bound and its witness set.
+host labels. A "decomposition" record bundles edge-cover parts plus the
+certified lower bound and its witness set. Each part lists its "edges" and
+carries an orientation certificate whose arcs cover exactly those edges;
+a part certified any other way fails.
 
 A `check --wr` word for a comparability graph is a concatenation of linear
 extensions of its transitive orientation, with at most n copies per letter;
@@ -52,14 +54,12 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .certificates import (
-    NON_COMPARABILITY,
     SEMI_TRANSITIVE,
     TRANSITIVE,
     WITNESS,
     WORD,
     Certificate,
     Decomposition,
-    Part,
 )
 from .decomposition import (
     as_decomposition,
@@ -176,8 +176,8 @@ def _decomposition_record(d: Decomposition) -> dict:
         "kind": "decomposition",
         "provenance": d.provenance,
         "parts": [
-            {"edges": _sorted_edges(p.edges), "certificate": _cert_record(p.certificate)}
-            for p in d.parts
+            {"edges": [list(e) for e in c.payload.host.edges()], "certificate": _cert_record(c)}
+            for c in d.parts
         ],
         "lower_bound": d.lower_bound,
         "lower_bound_witness": wit,
@@ -232,15 +232,19 @@ def _record_certificate(target: Graph, rec: dict) -> Certificate:
 
 
 def _record_decomposition(host: Graph, rec: dict) -> Decomposition:
-    parts = []
-    for p in rec["parts"]:
-        edges = frozenset((int(u), int(v)) for u, v in p["edges"])
-        part_graph = Graph.from_edges(host.n, list(edges))
-        parts.append(Part(edges, _record_certificate(part_graph, p["certificate"])))
+    """The cover a decomposition record claims. Each part's certificate is
+    read against the graph of its "edges", built once; an orientation's
+    arcs must direct exactly those edges."""
+    parts = tuple(
+        _record_certificate(
+            Graph.from_edges(host.n, [(int(u), int(v)) for u, v in p["edges"]]), p["certificate"]
+        )
+        for p in rec["parts"]
+    )
     wit = rec.get("lower_bound_witness")
     return Decomposition(
         host,
-        tuple(parts),
+        parts,
         str(rec.get("provenance", "document")),
         int(rec.get("lower_bound", 1)),
         None if wit is None else tuple(int(v) for v in wit),

@@ -6,8 +6,8 @@ certified lower bound on how many parts any cover needs. Nothing returned
 rests on the construction being trusted — `decomposition_diagnostics`
 re-verifies all of it from the certificates alone.
 
-A part is described by its orientation alone: the part's edges are the
-edges of the orientation's host, and `_parts` reads them from there.
+A part is its orientation certificate alone: the part's edges are the
+edges of the orientation's host, and `_parts` only wraps each orientation.
 
 Every product cover is built by one rule, `orient_special`: oriented
 pieces of the inner factor go into the supervertices under the lifted
@@ -39,7 +39,6 @@ from .certificates import (
     WITNESS,
     Certificate,
     Decomposition,
-    Part,
 )
 from .errors import BudgetExceeded, InputError, InternalError
 from .graphs import Graph, LexStructure, Orientation, edge_set, induced_subgraph
@@ -66,7 +65,6 @@ from .recognition import (
 
 __all__ = [
     "Decomposition",
-    "Part",
     "as_decomposition",
     "decompose_product_two",
     "decompose_power_k",
@@ -99,18 +97,8 @@ def _wr_orientation(g: Graph) -> Orientation:
     return cert.payload
 
 
-def _oriented(part: Part, host_n: int) -> Orientation:
-    """A semi-transitive orientation of a cover part's spanning subgraph,
-    reusing the part's own certificate when it already is one."""
-    sub = Graph.from_edges(host_n, part.edges)
-    cert = part.certificate
-    if cert.kind in (SEMI_TRANSITIVE, TRANSITIVE) and cert.payload.host == sub:
-        return cert.payload
-    return _wr_orientation(sub)
-
-
-def _parts(oriented: list[Orientation], kind: str = SEMI_TRANSITIVE) -> tuple[Part, ...]:
-    return tuple(Part(edge_set(o.host.edges()), Certificate(kind, o)) for o in oriented)
+def _parts(oriented: list[Orientation], kind: str = SEMI_TRANSITIVE) -> tuple[Certificate, ...]:
+    return tuple(Certificate(kind, o) for o in oriented)
 
 
 def _refilled(
@@ -236,16 +224,15 @@ def decompose_product_general(
     each outer part becomes a lifted map, each inner part is copied into
     every supervertex.
 
-    The lower bound is `_bound_two`'s."""
+    The factor covers must verify, so each of their parts is already an
+    orientation of its edges. The lower bound is `_bound_two`'s."""
     g1, g2 = p.outer, p.inner
     if d1.host != g1 or d2.host != g2:
         raise InputError("factor covers must live on the product's factors")
     if verify_decomposition(g1, d1) or verify_decomposition(g2, d2):
         raise InputError("factor cover does not verify")
     parts = _cross_and_copies(
-        p,
-        [_oriented(part, g1.n) for part in d1.parts],
-        [_oriented(part, g2.n) for part in d2.parts],
+        p, [c.payload for c in d1.parts], [c.payload for c in d2.parts]
     )
     return Decomposition(p.graph, _parts(parts), "product-general", *_bound_two(p))
 
@@ -294,7 +281,7 @@ def decompose_product_tight(
         raise InputError("more inner split classes than outer parts")
     fills = _comparability_split(g2, comp_split, range(k1), "inner factor")
     fills += [_edgeless(g2.n)] * (k1 - len(fills))
-    parts = _refilled(p, [_oriented(part, g1.n) for part in d1.parts], fills)
+    parts = _refilled(p, [c.payload for c in d1.parts], fills)
 
     if d1.lower_bound > 2:
         bound = min(k1, d1.lower_bound)
@@ -367,10 +354,13 @@ def decompose_min_nonwr_product(
     outer_star = Graph.from_edges(n, [(r, j) for j in g1.neighbors(r)])
     part3 = orient_special(p, _wr_orientation(outer_star), [_edgeless(m)] * n)
 
-    parts = _parts([part1, part2, part3])
-    union = frozenset().union(*(pt.edges for pt in parts))
-    if sum(len(pt.edges) for pt in parts) != len(union) or union != edge_set(host.edges()):
+    # parts whose rows union to the host's and whose edge counts sum to its
+    # count are pairwise disjoint
+    hosts = [o.host for o in (part1, part2, part3)]
+    union = tuple(a | b | c for a, b, c in zip(*(h.adj for h in hosts)))
+    if sum(h.edge_count() for h in hosts) != host.edge_count() or union != host.adj:
         raise InternalError("the three parts must partition the host's edges")
+    parts = _parts([part1, part2, part3])
     return Decomposition(host, parts, "min-product", 2, tuple(st.supervertex(0)))
 
 

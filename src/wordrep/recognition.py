@@ -67,9 +67,7 @@ from .certificates import (
     WITNESS,
     WORD,
     Certificate,
-    Decomposition,
     MuResult,
-    Part,
 )
 from .errors import BudgetExceeded, InputError, InternalError
 from .graphs import Graph, Orientation, bits, induced_subgraph
@@ -900,9 +898,10 @@ def find_word(g: Graph) -> Optional[tuple[int, ...]]:
 # ── cover number over representable parts ────────────────────────────────
 
 
-def _cover_search(g: Graph, k: int, budget: Optional[_Budget], part_ok=is_wr) -> Optional[list[frozenset]]:
+def _cover_search(g: Graph, k: int, budget: Optional[_Budget], part_ok=is_wr) -> Optional[list[Graph]]:
     """Find a cover of g's edges by k representable spanning subgraphs, or
-    prove none exists; overlaps are allowed.
+    prove none exists; overlaps are allowed. The parts come back as graphs
+    on g's vertices.
 
     Edges are assigned non-empty part subsets in colex vertex order; each
     time all edges inside a prefix 0..v are placed, every part's induced
@@ -964,10 +963,7 @@ def _cover_search(g: Graph, k: int, budget: Optional[_Budget], part_ok=is_wr) ->
             i += 1
         else:
             flip(i, s)
-    return [
-        frozenset((u, v) for u in range(n) for v in bits(padj[p][u]) if u < v)
-        for p in range(k)
-    ]
+    return [Graph(n, tuple(rows)) for rows in padj]
 
 
 def _colour_bits(g: Graph) -> int:
@@ -994,9 +990,13 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
     kills every level before a cover shows up the result is unknown. Once a
     level is cut short, part counts stop at `_colour_bits(g)`, where a cover
     is known to exist; an unbudgeted search finds one there at the latest.
+    Each part is the orientation certificate `wr_decide` gives it. A
+    negative budget is refused.
     """
+    if budget is not None and budget < 0:
+        raise InputError(f"budget must not be negative, got {budget}")
     if is_wr(g):
-        return MuResult(1, (Part(frozenset(g.edges()), wr_decide(g)[1]),), "exact")
+        return MuResult(1, (wr_decide(g)[1],), "exact")
     all_exhausted, top, k = True, 0, 2
     while all_exhausted or k <= top:
         try:
@@ -1006,9 +1006,7 @@ def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
             if all_exhausted:
                 all_exhausted, top = False, max(2, _colour_bits(g))
         if cover is not None:
-            parts = tuple(
-                Part(es, wr_decide(Graph.from_edges(g.n, es))[1]) for es in cover
-            )
+            parts = tuple(wr_decide(part)[1] for part in cover)
             return MuResult(k, parts, "exact" if all_exhausted else "upper-bound")
         k += 1
     return MuResult(None, (), "unknown")
@@ -1059,30 +1057,28 @@ def verify_certificate(g: Graph, cert: Certificate) -> list[str]:
 
 
 def verify_decomposition(g: Graph, d) -> list[str]:
-    """Diagnostics for a cover: parts must union to g's edges and every
-    part's certificate must verify on its spanning subgraph. Accepts any
-    object with a `parts` attribute (Decomposition, MuResult)."""
+    """Diagnostics for a cover: every part must be an orientation whose host
+    is a spanning subgraph of g and passes its own check, and the parts'
+    hosts must union to g's edges. Edge sets are compared as adjacency
+    rows. Accepts any object with a `parts` attribute (Decomposition,
+    MuResult)."""
     diags = []
-    geedges = set(g.edges())
-    seen: set[tuple[int, int]] = set()
-    for idx, part in enumerate(d.parts):
-        try:
-            es = {(u, v) if u < v else (v, u) for u, v in part.edges}
-        except (TypeError, ValueError):
-            diags.append(f"part {idx}: edge list is malformed")
+    covered = [0] * g.n
+    for idx, cert in enumerate(d.parts):
+        if cert.kind not in (SEMI_TRANSITIVE, TRANSITIVE):
+            diags.append(f"part {idx}: a part needs an orientation certificate")
             continue
-        bad = [e for e in es if e not in geedges]
+        part = cert.payload.host
+        if part.n != g.n:
+            diags.append(f"part {idx}: orientation has {part.n} vertices, the host {g.n}")
+            continue
+        bad = [(u, v) for u, row in enumerate(part.adj) for v in bits(row & ~g.adj[u]) if u < v]
         if bad:
-            diags.append(f"part {idx}: edges {sorted(bad)} are not host edges")
+            diags.append(f"part {idx}: edges {bad} are not host edges")
             continue
-        seen |= es
-        if part.certificate.kind in (WITNESS, NON_COMPARABILITY):
-            diags.append(f"part {idx}: a witness cannot certify a part")
-            continue
-        sub = Graph.from_edges(g.n, es)
-        diags += [f"part {idx}: {msg}" for msg in verify_certificate(sub, part.certificate)]
-    missing = geedges - seen
+        covered = [c | row for c, row in zip(covered, part.adj)]
+        diags += [f"part {idx}: {msg}" for msg in verify_certificate(part, cert)]
+    missing = [(u, v) for u, row in enumerate(g.adj) for v in bits(row & ~covered[u]) if u < v]
     if missing:
-        diags.append(f"edges {sorted(missing)} are covered by no part")
+        diags.append(f"edges {missing} are covered by no part")
     return diags
-

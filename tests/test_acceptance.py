@@ -109,8 +109,8 @@ def test_criterion_04_two_transitive_parts():
         d = decompose_power_two_comparability(c5, C5_SPLIT, k)
         ok = ok and len(d.parts) == 2
         for p in d.parts:
-            ok = ok and p.certificate.kind == TRANSITIVE
-            ok = ok and check_transitive(p.certificate.payload)
+            ok = ok and p.kind == TRANSITIVE
+            ok = ok and check_transitive(p.payload)
         ok = ok and not verify_decomposition(d.host, d)
         ok = ok and d.lower_bound == 2 and not verify_lower_bound(d)
     _report(4, ok, "two transitive parts certify mu(C5^[k]) = 2 for k = 2, 3",
@@ -141,8 +141,7 @@ def test_criterion_06_minimal_factor_covers():
         d = decompose_min_nonwr_product(p, r=r)
         ok = ok and len(d.parts) == 3
         ok = ok and not verify_decomposition(d.host, d)
-        sets = [frozenset((min(u, v), max(u, v)) for u, v in part.edges)
-                for part in d.parts]
+        sets = [frozenset(part.payload.host.edges()) for part in d.parts]
         ok = ok and not (sets[0] & sets[1]) and not (sets[0] & sets[2])
         ok = ok and not (sets[1] & sets[2])
     _report(6, ok, "W5 is minimal; all six anchored covers give 3 disjoint parts",

@@ -32,7 +32,7 @@ from wordrep.graphs import (
     wheel_graph,
 )
 from wordrep.lexops import lex_product
-from wordrep.recognition import word_represents
+from wordrep.recognition import find_word, word_represents
 
 H8 = "G|fJH{"
 C5 = "Dhc"
@@ -200,6 +200,15 @@ def test_factor_cover_out_of_budget_exits_three():
     for form in (["product-general"], ["product-tight", "--split", SPLIT_C5]):
         code, _, err = run(["mu", W5, C5, "--constructive", *form, "--budget", "1"])
         assert code == 3 and "budget exhausted" in err, form
+
+
+def test_negative_budget_is_an_input_error():
+    # malformed input, not a budget that ran out; 0 is a budget that does
+    for argv in (["mu", W5], ["mu", C5], ["mu", W5, C5, "--constructive", "product-general"]):
+        code, out, err = run([*argv, "--budget", "-3"])
+        assert (code, out) == (2, "") and "budget must not be negative" in err, argv
+    code, out, _ = run(["mu", W5, "--budget", "0"])
+    assert code == 3 and doc(out)["result"]["status"] == "unknown"
 
 
 def test_mu_constructive_power():
@@ -377,6 +386,20 @@ def test_verify_names_uncovered_edge():
     code, _, err = run(["verify", json.dumps(tampered)])
     assert code == 1
     assert "covered by no part" in err and str(tuple(lost)) in err
+
+
+def test_verify_refuses_a_part_certified_by_a_word():
+    # a valid word for the part's edges is still no orientation of them
+    _, out, _ = run(["mu", W5])
+    tampered = doc(out)
+    rec = tampered["certificates"][0]
+    part = rec["parts"][0]
+    g = Graph.from_edges(6, [tuple(e) for e in part["edges"]])
+    part["certificate"] = {"kind": "word", "letters": list(find_word(g))}
+    assert word_represents(part["certificate"]["letters"], g)
+    code, text, err = run(["verify", json.dumps(tampered)])
+    assert code == 1
+    assert doc(text)["failures"][0] == "certificate 0: part 0: a part needs an orientation certificate"
 
 
 def test_verify_rejects_false_witness():

@@ -6,7 +6,6 @@ from wordrep import decomposition, recognition
 from wordrep.certificates import WORD, Certificate
 from wordrep.decomposition import (
     Decomposition,
-    Part,
     as_decomposition,
     decompose_min_nonwr_product,
     decompose_power_k,
@@ -23,7 +22,6 @@ from wordrep.graphs import (
     LexStructure,
     complete_graph,
     cycle_graph,
-    edge_set,
     empty_graph,
     extremal8,
     path_graph,
@@ -46,6 +44,11 @@ def w5_cover():
     return w5, as_decomposition(w5, mu_exact(w5))
 
 
+def part_edges(part):
+    """A cover part's edges: those of its orientation's host."""
+    return frozenset(part.payload.host.edges())
+
+
 # ── two parts for a product of representable factors ──────────────────────
 
 
@@ -61,9 +64,9 @@ def test_product_two_split_is_cross_versus_interior():
     d = decompose_product_two(p)
     red, green = d.parts
     st = p.structure
-    assert all(st.split(u)[0] != st.split(v)[0] for u, v in red.edges)
-    assert all(st.split(u)[0] == st.split(v)[0] for u, v in green.edges)
-    assert not red.edges & green.edges
+    assert all(st.split(u)[0] != st.split(v)[0] for u, v in part_edges(red))
+    assert all(st.split(u)[0] == st.split(v)[0] for u, v in part_edges(green))
+    assert not part_edges(red) & part_edges(green)
 
 
 def test_product_two_on_complete_factors_is_valid_but_loose():
@@ -100,9 +103,9 @@ def test_power_cover_peels_top_cross_layer():
     d = decompose_power_k(cycle_graph(5), 3)
     head = LexStructure(5, 25)
     top, *rest = d.parts
-    assert all(head.split(u)[0] != head.split(v)[0] for u, v in top.edges)
+    assert all(head.split(u)[0] != head.split(v)[0] for u, v in part_edges(top))
     for part in rest:
-        assert all(head.split(u)[0] == head.split(v)[0] for u, v in part.edges)
+        assert all(head.split(u)[0] == head.split(v)[0] for u, v in part_edges(part))
 
 
 def test_power_cover_rejects_bad_bases():
@@ -120,8 +123,8 @@ def test_comparability_split_power_gives_two_transitive_parts():
         assert d.value == 2 and d.lower_bound == 2
         assert not decomposition_diagnostics(d)
         for part in d.parts:
-            assert part.certificate.kind == "transitive-orientation"
-            assert check_transitive(part.certificate.payload)
+            assert part.kind == "transitive-orientation"
+            assert check_transitive(part.payload)
 
 
 def test_comparability_split_power_rejects_bad_splits():
@@ -140,18 +143,12 @@ def test_power_levels_are_product_steps():
     p = lex_product(c5, c5)
     assert decompose_power_k(c5, 2).parts == decompose_product_two(p).parts
     halves = Decomposition(
-        c5,
-        tuple(
-            Part(edge_set(es), comparability_decide(Graph.from_edges(5, es))[1])
-            for es in C5_SPLIT
-        ),
-        "split",
+        c5, tuple(comparability_decide(Graph.from_edges(5, es))[1] for es in C5_SPLIT), "split"
     )
     power = decompose_power_two_comparability(c5, C5_SPLIT, 2)
     tight = decompose_product_tight(p, halves, C5_SPLIT)
-    assert [(pt.edges, pt.certificate.payload) for pt in power.parts] == [
-        (pt.edges, pt.certificate.payload) for pt in tight.parts
-    ]
+    # an orientation holds its host, so equal payloads have equal edges
+    assert [pt.payload for pt in power.parts] == [pt.payload for pt in tight.parts]
 
 
 def test_power_covers_build_each_level_once(monkeypatch):
@@ -240,7 +237,7 @@ def test_tight_product_cover_single_part_is_the_product():
     dc5 = as_decomposition(c5, mu_exact(c5))
     d = decompose_product_tight(p, dc5, [p3.edges()])
     assert d.value == 1
-    assert d.parts[0].edges == frozenset(p.graph.edges())
+    assert part_edges(d.parts[0]) == frozenset(p.graph.edges())
     assert not decomposition_diagnostics(d)
 
 
@@ -250,9 +247,7 @@ def test_tight_product_bound_comes_from_the_outer_cover(monkeypatch):
     # a comparability graph, so the product's bound 2 is the cone instead
     w5 = wheel_graph(5)
     classes = [[(i, 5) for i in range(5)], [(0, 1), (1, 2), (2, 3)], [(3, 4), (0, 4)]]
-    parts = tuple(
-        Part(edge_set(es), recognition.wr_decide(Graph.from_edges(6, es))[1]) for es in classes
-    )
+    parts = tuple(recognition.wr_decide(Graph.from_edges(6, es))[1] for es in classes)
     d1 = Decomposition(w5, parts, "search", 2, tuple(range(6)))
 
     def no_search(*args):
@@ -310,7 +305,7 @@ def test_min_product_cover_three_disjoint_parts():
     d = decompose_min_nonwr_product(p)
     assert d.value == 3 and d.lower_bound == 2
     assert not decomposition_diagnostics(d)
-    e1, e2, e3 = (part.edges for part in d.parts)
+    e1, e2, e3 = (part_edges(part) for part in d.parts)
     assert not (e1 & e2) and not (e1 & e3) and not (e2 & e3)
     assert e1 | e2 | e3 == frozenset(p.graph.edges())
 
@@ -346,7 +341,7 @@ def test_min_product_parts_pin_their_edge_sets():
             part1 = (cross - into_r) | block(r, minus(drop))
             part1 |= set().union(*(block(i, star(roots[i])) for i in others))
             part2 = block(r, star(drop)).union(*(block(i, minus(roots[i])) for i in others))
-            assert [pt.edges for pt in d.parts] == [part1, part2, into_r]
+            assert [part_edges(pt) for pt in d.parts] == [part1, part2, into_r]
 
 
 def test_min_product_cover_root_and_drop_freedom():
@@ -403,6 +398,6 @@ def test_lower_bound_witness_is_checked():
 
 def test_diagnostics_catch_tampered_parts():
     w5, dw5 = w5_cover()
-    fake = Part(dw5.parts[0].edges, Certificate(WORD, (0, 1, 0, 1)))
+    fake = Certificate(WORD, (0, 1, 0, 1))
     tampered = dataclasses.replace(dw5, parts=(fake,) + dw5.parts[1:])
     assert decomposition_diagnostics(tampered)

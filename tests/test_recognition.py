@@ -25,7 +25,7 @@ from wordrep.certificates import (
     TRANSITIVE,
     WITNESS,
     Certificate,
-    Part,
+    MuResult,
 )
 from wordrep.errors import BudgetExceeded, InputError
 from wordrep.formats import decode_graph6
@@ -660,7 +660,7 @@ def test_mu_exact_representable(c5):
     r = mu_exact(c5)
     assert r.value == 1 and r.exact and r.status == "exact"
     assert len(r.parts) == 1
-    assert r.parts[0].edges == frozenset(c5.edges())
+    assert r.parts[0].payload.host == c5
     assert not verify_decomposition(c5, r)
 
 
@@ -668,11 +668,10 @@ def test_mu_exact_wheel(w5):
     r = mu_exact(w5)
     assert r.value == 2 and r.exact
     assert not verify_decomposition(w5, r)
-    union = set().union(*(p.edges for p in r.parts))
+    union = set().union(*(p.payload.host.edges() for p in r.parts))
     assert union == set(w5.edges())
     for p in r.parts:
-        sub = Graph.from_edges(w5.n, list(p.edges))
-        assert wr_decide(sub)[0]
+        assert wr_decide(p.payload.host)[0]
 
 
 def test_mu_exact_extremal8(h8):
@@ -697,16 +696,18 @@ def test_cover_search_runs_without_a_frame_per_edge(w5):
         cover = recognition._cover_search(g, 2, None)
     finally:
         sys.setrecursionlimit(saved)
-    assert cover is not None and set().union(*cover) == set(g.edges())
-    assert all(is_wr(Graph.from_edges(g.n, part)) for part in cover)
+    assert cover is not None and set().union(*(part.edges() for part in cover)) == set(g.edges())
+    assert all(part.n == g.n and is_wr(part) for part in cover)
 
 
 def test_mu_verify_rejects_tampering(w5):
     r = mu_exact(w5)
-    # drop an edge from every part: union no longer covers the wheel
-    broken = [
-        Part(frozenset(list(p.edges)[1:]), p.certificate) for p in r.parts
-    ]
+    # drop an edge from every part, each still oriented: union no longer
+    # covers the wheel
+    broken = []
+    for p in r.parts:
+        arcs = p.payload.arcs()[1:]
+        broken.append(Certificate(p.kind, Orientation.from_arcs(Graph.from_edges(w5.n, arcs), arcs)))
 
     class D:
         parts = tuple(broken)
@@ -714,6 +715,18 @@ def test_mu_verify_rejects_tampering(w5):
     diags = verify_decomposition(w5, D)
     assert diags and any("covered by no part" in d or "not semi-transitive" in d
                          or "host differs" in d for d in diags)
+
+
+def test_verify_decomposition_refuses_parts_on_other_vertices(w5):
+    # a part is a spanning subgraph: its orientation lives on the host's
+    # vertices, not on fewer or more
+    r = mu_exact(w5)
+    o = r.parts[0].payload
+    grown = Orientation(Graph(o.host.n + 1, o.host.adj + (0,)), o.out + (0,))
+    shrunk = wr_decide(cycle_graph(5))[1]
+    for part, n in ((Certificate(r.parts[0].kind, grown), 7), (shrunk, 5)):
+        d = MuResult(r.value, (part,) + r.parts[1:])
+        assert verify_decomposition(w5, d)[0] == f"part 0: orientation has {n} vertices, the host 6"
 
 
 def test_verify_certificate_kinds(c5, w5):
