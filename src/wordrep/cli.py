@@ -86,14 +86,18 @@ from .recognition import (
 )
 
 _ORIENTATION_KINDS = (SEMI_TRANSITIVE, TRANSITIVE)
-_CONSTRUCTIONS = (
-    "product-two",
-    "power",
-    "power-comparability",
-    "product-general",
-    "product-tight",
-    "min-product",
-)
+# The options each mode reads: plain `mu` (None), each construction, and each
+# `lex` operation. Any other of them given is refused rather than ignored.
+_MU_READS = {
+    None: ("budget",),
+    "product-two": (),
+    "power": ("k",),
+    "power-comparability": ("k", "split"),
+    "product-general": ("budget",),
+    "product-tight": ("split", "budget"),
+    "min-product": ("root",),
+}
+_LEX_READS = {"product": (), "power": ("k",), "map": ("edges",), "special": ("edges", "fills")}
 
 
 # ── input handling ────────────────────────────────────────────────────────
@@ -305,7 +309,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_unread(args: argparse.Namespace, label: str, reads: dict, mode: Optional[str]) -> None:
+    """Refuse each option named in `reads` that is given but not read by `mode`."""
+    for name in dict.fromkeys(o for names in reads.values() for o in names):
+        if getattr(args, name) is not None and name not in reads[mode]:
+            raise InputError(f"--{name} does not apply to {label}")
+
+
 def cmd_mu(args: argparse.Namespace) -> int:
+    label = "mu" if args.constructive is None else f"mu --constructive {args.constructive}"
+    _refuse_unread(args, label, _MU_READS, args.constructive)
     graphs = [_read_graph(s) for s in args.inputs]
     t0 = time.perf_counter()
     if args.constructive:
@@ -327,12 +340,12 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
     if name in ("power", "power-comparability"):
         if len(graphs) != 1:
             raise InputError(f"--constructive {name} takes one base graph")
-        g = graphs[0]
+        g, k = graphs[0], 2 if args.k is None else args.k
         if name == "power":
-            d = decompose_power_k(g, args.k)
+            d = decompose_power_k(g, k)
         else:
             classes = _parse_edge_classes(args.split, "--split", want=2)
-            d = decompose_power_two_comparability(g, (classes[0], classes[1]), args.k)
+            d = decompose_power_two_comparability(g, (classes[0], classes[1]), k)
     else:
         if len(graphs) != 2:
             raise InputError(f"--constructive {name} takes two factor graphs")
@@ -348,7 +361,7 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
             d1 = _factor_cover(graphs[0], args.budget)
             d = decompose_product_tight(p, d1, classes)
         else:
-            d = decompose_min_nonwr_product(p, r=args.root)
+            d = decompose_min_nonwr_product(p, r=0 if args.root is None else args.root)
     label = f"mu --constructive {name}"
     diags = decomposition_diagnostics(d)
     if diags:
@@ -378,18 +391,20 @@ def _factor_cover(g: Graph, budget: Optional[int]) -> Decomposition:
 
 
 def cmd_lex(args: argparse.Namespace) -> int:
+    _refuse_unread(args, f"lex {args.op}", _LEX_READS, args.op)
     graphs = [_read_graph(s) for s in args.inputs]
     t0 = time.perf_counter()
     if args.op == "power":
         if len(graphs) != 1:
             raise InputError("lex power takes one graph")
-        chain = lex_power(graphs[0], args.k)
+        k = 2 if args.k is None else args.k
+        chain = lex_power(graphs[0], k)
         graph = chain.graph
         st = chain.head_structure()
         structure: dict = {
             "outer_n": st.outer_n,
             "inner_n": st.inner_n,
-            "chain": [graphs[0].n] * args.k,
+            "chain": [graphs[0].n] * k,
         }
     else:
         if len(graphs) != 2:
@@ -520,13 +535,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu", help="cover number: exact search or a verified construction")
     p.add_argument("inputs", nargs="+",
                    help="one graph, or two factors for product constructions")
-    p.add_argument("--constructive", choices=_CONSTRUCTIONS, default=None,
+    p.add_argument("--constructive", choices=[c for c in _MU_READS if c], default=None,
                    help="build a cover from the named construction instead of searching")
-    p.add_argument("--k", type=int, default=2, help="power exponent")
+    p.add_argument("--k", type=int, default=None, help="power exponent (default 2)")
     p.add_argument("--split", default=None, metavar="JSON",
                    help="comparability edge classes, e.g. [[[0,1]],[[1,2]]]")
-    p.add_argument("--root", type=int, default=0,
-                   help="outer vertex whose block anchors the min-product cover")
+    p.add_argument("--root", type=int, default=None,
+                   help="outer vertex whose block anchors the min-product cover (default 0)")
     p.add_argument("--budget", type=int, default=None, metavar="NODES",
                    help="search-node budget for the exact cover search")
     p.set_defaults(func=cmd_mu)
@@ -534,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lex", help="construct a composition, power, map, or refilled map")
     p.add_argument("op", choices=("product", "power", "map", "special"))
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--k", type=int, default=2, help="power exponent (k >= 1)")
+    p.add_argument("--k", type=int, default=None, help="power exponent (k >= 1, default 2)")
     p.add_argument("--edges", default=None, metavar="JSON",
                    help="outer edge list for map/special")
     p.add_argument("--fills", default=None, metavar="JSON",

@@ -24,8 +24,8 @@ plus every direction it forces and rejects dead partial states, and walks
 a fixed list of the edges. Comparability is decided by forcing alone: one
 forward pass, in polynomial time, because on a comparability graph no
 choice the pass makes can fail (the proof is `_find_transitive`'s
-docstring). Representability backtracks, in `_backtrack`: an
-explicit-stack search, so its depth is bounded by memory rather than by
+docstring). Representability backtracks, in `_semi_transitive_search`:
+an explicit-stack search, so its depth is bounded by memory rather than by
 the interpreter's recursion limit. It decides the edges in maximum
 cardinality search order (`_search_order`), so a failing search meets its
 dead states near the top of its tree. An early wrong choice can still cost
@@ -58,7 +58,7 @@ vertices, and a witness found later is added to the graph's entry in place.
 from __future__ import annotations
 
 import heapq
-from typing import Generator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .certificates import (
     NON_COMPARABILITY,
@@ -236,55 +236,6 @@ class _Budget:
         )[0]
 
 
-def _backtrack(g: Graph, state: tuple, propagate, first) -> Generator[None, None, Optional[Orientation]]:
-    """Orient g edge by edge in the order of the propagator's edge list,
-    backtracking on an explicit stack whose entries hold an edge, the state
-    before deciding it and the directions still to try. Only the
-    semi-transitive search backtracks; `_find_transitive` decides by
-    forcing alone.
-
-    `state` is a tuple of mutable sequences: the arc out-sets first, the
-    edge directions last (a bytearray, 0 open, 1 = as stored, 2 =
-    reversed), and whatever per-vertex lists the propagator keeps in
-    between. `propagate(i, d)` sets edge i to direction d plus everything
-    that forces, and returns False on a dead state.
-
-    `first(i)` names the direction to try first at open edge i. Both
-    directions are tried before the search gives up on a decision, so the
-    order changes which orientation is found, never whether one is.
-
-    A generator: it yields after every propagator call and returns the
-    orientation, or None, so that `_race` can run two searches in turn.
-    """
-    out, dirs = state[0], state[-1]
-    m = len(dirs)
-    stack = []
-    i = 0
-    while True:
-        i = next((j for j in range(i, m) if not dirs[j]), m)  # edges before i are decided
-        if i == m:
-            return Orientation(g, tuple(out))
-        if not stack:
-            # reversing every arc preserves both properties, so the very
-            # first decision can fix one direction
-            todo = [1]
-        else:
-            todo = [1, 2] if first(i) == 2 else [2, 1]
-        stack.append((i, tuple(s[:] for s in state), todo))
-        while True:
-            alive = propagate(i, todo.pop())
-            yield
-            if alive:
-                break
-            while not stack[-1][2]:
-                stack.pop()
-                if not stack:
-                    return None
-            i, snap, todo = stack[-1]
-            for s, saved in zip(state, snap):
-                s[:] = saved
-
-
 def _find_semi_transitive(g: Graph, budget: Optional[_Budget] = None) -> Optional[Orientation]:
     """Search for a semi-transitive orientation of g, spending one step of
     `budget`, when given, per propagator call.
@@ -321,12 +272,12 @@ def _find_semi_transitive(g: Graph, budget: Optional[_Budget] = None) -> Optiona
     them. Forced arcs add no reachability, so the state after a round does
     not depend on the order they are queued in.
 
-    Values are ordered by least growth (Haralick & Elliott, Artif. Intell.
-    14, 1980: try the least constraining value first). After the first
-    decision, which `_backtrack` fixes by symmetry, open edge u, v is tried
-    first in the direction a -> b that minimises (|anc[a]| + 1) *
-    (|reach[b]| + 1), the number of pairs it makes reachable (some may
-    have been already); a tie keeps "as stored". Small `reach` and `anc`
+    Values are ordered by least growth (`_least_growth`; Haralick &
+    Elliott, Artif. Intell. 14, 1980: try the least constraining value
+    first). After the first decision, which the search fixes by symmetry,
+    open edge u, v is tried first in the direction a -> b that minimises
+    (|anc[a]| + 1) * (|reach[b]| + 1), the number of pairs it makes
+    reachable (some may have been already); a tie keeps "as stored". Small `reach` and `anc`
     sets make propagation, snapshots and the final `check_semi_transitive`
     cheap. The order only permutes the two branches of each decision, and
     both are explored before a decision fails, so the search exhausts the
@@ -379,7 +330,8 @@ _RACE_SHARE = 3
 
 
 def _race(lead, make_other) -> Optional[Orientation]:
-    """The answer of whichever of two `_backtrack` searches ends first.
+    """The answer of whichever of two `_semi_transitive_search` generators
+    ends first.
 
     `lead` runs alone for `_RACE_HEAD` propagator calls. If it has not
     ended by then, `make_other()` builds the second search, and the two
@@ -407,9 +359,30 @@ def _race(lead, make_other) -> Optional[Orientation]:
         return done.value
 
 
+def _least_growth(edge: tuple[int, int], anc: list[int], reach: list[int]) -> int:
+    """The direction to try first at open edge u, v by least growth (see
+    `_find_semi_transitive`): 2 (v -> u) or 1 ("as stored")."""
+    u, v = edge
+    grow_uv = (anc[u].bit_count() + 1) * (reach[v].bit_count() + 1)
+    grow_vu = (anc[v].bit_count() + 1) * (reach[u].bit_count() + 1)
+    return 2 if grow_vu < grow_uv else 1
+
+
 def _semi_transitive_search(g: Graph, edges: list[tuple[int, int]], budget: Optional[_Budget]):
     """The backtracking search of `_find_semi_transitive`, deciding `edges`
-    in the order given, as a `_backtrack` generator."""
+    in the order given.
+
+    It orients g edge by edge on an explicit stack. Each entry holds an
+    edge, the state before deciding it (`out`, `reach`, `anc` and `dirs`,
+    copied) and the directions still to try; a dead state restores the top
+    entry's copy and tries its next direction. `dirs` holds 0 for an open
+    edge, 1 for "as stored" and 2 for reversed. The first decision tries
+    one direction only, since reversing every arc preserves
+    semi-transitivity; every later one tries `_least_growth`'s first.
+
+    A generator: it yields after every propagator call and returns the
+    orientation, or None, so that `_race` can run two searches in turn.
+    """
     n, adj = g.n, g.adj
     eix = {e: i for i, e in enumerate(edges)}
     out = [0] * n
@@ -463,15 +436,27 @@ def _semi_transitive_search(g: Graph, edges: list[tuple[int, int]], budget: Opti
                             return False
         return True
 
-    def first(i: int) -> int:
-        # least growth: u -> v makes every ancestor of u (and u) reach
-        # every descendant of v (and v); ties keep "as stored"
-        u, v = edges[i]
-        grow_uv = (anc[u].bit_count() + 1) * (reach[v].bit_count() + 1)
-        grow_vu = (anc[v].bit_count() + 1) * (reach[u].bit_count() + 1)
-        return 2 if grow_vu < grow_uv else 1
-
-    return _backtrack(g, (out, reach, anc, dirs), propagate, first)
+    stack = []
+    i = 0
+    while True:
+        i = dirs.find(0, i)  # edges before i are decided
+        if i < 0:
+            return Orientation(g, tuple(out))
+        if not stack:
+            todo = [1]
+        else:
+            todo = [1, 2] if _least_growth(edges[i], anc, reach) == 2 else [2, 1]
+        stack.append((i, out[:], reach[:], anc[:], dirs[:], todo))
+        while True:
+            alive = propagate(i, todo.pop())
+            yield
+            if alive:
+                break
+            while not stack[-1][-1]:
+                stack.pop()
+                if not stack:
+                    return None
+            i, out[:], reach[:], anc[:], dirs[:], todo = stack[-1]
 
 
 def _search_order(g: Graph) -> list[tuple[int, int]]:

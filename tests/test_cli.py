@@ -361,6 +361,32 @@ def test_each_option_belongs_to_the_command_that_reads_it():
         for flags in foreign:
             code, _, err = run(argv + flags)
             assert code == 2 and "unrecognized arguments" in err, (argv, flags)
+    # within mu and lex, each mode refuses the options it never reads; the
+    # values are cheap to reject where the mode does read them
+    values = {"--k": "0", "--split": "x", "--root": "99", "--budget": "0", "--edges": "x", "--fills": "x"}
+    modes = {
+        ("mu", C5): {"--budget"},
+        ("mu", C5, C5, "--constructive", "product-two"): set(),
+        ("mu", C5, "--constructive", "power"): {"--k"},
+        ("mu", C5, "--constructive", "power-comparability"): {"--k", "--split"},
+        ("mu", C5, C5, "--constructive", "product-general"): {"--budget"},
+        ("mu", C5, C5, "--constructive", "product-tight"): {"--split", "--budget"},
+        ("mu", C5, C5, "--constructive", "min-product"): {"--root"},
+        ("lex", "product", "A_", "A_"): set(),
+        ("lex", "power", "A_"): {"--k"},
+        ("lex", "map", "A_", "A_"): {"--edges"},
+        ("lex", "special", "A_", "A_"): {"--edges", "--fills"},
+    }
+    options = {"mu": ("--k", "--split", "--root", "--budget"), "lex": ("--k", "--edges", "--fills")}
+    for argv, reads in modes.items():
+        for flag in options[argv[0]]:
+            code, out, err = run(list(argv) + [flag, values[flag]])
+            assert ("does not apply" in err) == (flag not in reads), (argv, flag, err)
+            if flag not in reads:
+                assert code == 2 and out == "", (argv, flag)
+    # the defaults still stand in for an option not given
+    assert doc(run(["mu", C5, "--constructive", "power"])[1])["result"]["parts"] == 2
+    assert run(["lex", "power", "A_", "--format", "g6"])[1].strip() == encode_graph6(complete_graph(4))
 
 
 def test_verify_rejects_broken_orientation():
@@ -599,7 +625,7 @@ def test_product_two_cone_verifies_without_a_large_decision(monkeypatch):
     assert code == 0
     rec = doc(out)["certificates"][0]
     assert rec["lower_bound"] == 2 and len(rec["lower_bound_witness"]) == 12
-    searched = record_calls(monkeypatch, recognition, "_backtrack")
+    searched = record_calls(monkeypatch, recognition, "_semi_transitive_search")
     assert reverify(out) == 0
     assert searched == []
 
@@ -838,7 +864,7 @@ def test_check_wr_witness_fits_the_verify_cap(monkeypatch):
     d = doc(out)
     assert d["result"]["wr"] is False
     assert d["result"]["witness"] == list(range(12))
-    searched = record_calls(monkeypatch, recognition, "_backtrack")
+    searched = record_calls(monkeypatch, recognition, "_semi_transitive_search")
     assert reverify(out) == 0
     assert searched == []
 

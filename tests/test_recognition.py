@@ -429,8 +429,7 @@ def test_value_order_keeps_every_verdict(monkeypatch):
     _fresh_memos(monkeypatch)
     found = [recognition._find_semi_transitive(g) for g in corpus]
     # an order hook that always answers "as stored"
-    real = recognition._backtrack
-    monkeypatch.setattr(recognition, "_backtrack", lambda g, state, propagate, first: real(g, state, propagate, lambda i: 1))
+    monkeypatch.setattr(recognition, "_least_growth", lambda edge, anc, reach: 1)
     _fresh_memos(monkeypatch)
     stored = [recognition._find_semi_transitive(g) for g in corpus]
     assert [o is None for o in found] == [o is None for o in stored]
@@ -475,12 +474,15 @@ def test_search_order_ranks_by_maximum_cardinality():
 
 
 def test_hard_inputs_decide_within_budget(monkeypatch):
-    # M5 is triangle-free, so no vertex refuses it, and the search must
-    # refute it; a 30-vertex graph of a shuffled 3-uniform word is
-    # representable and the search must find an orientation
-    _fresh_memos(monkeypatch)
-    m5 = decode_graph6(M5)
-    assert recognition._find_semi_transitive(m5, recognition._Budget(recognition._VERIFY_BUDGET)) is None
+    # M5 and Grötzsch are triangle-free, so no vertex refuses them, and the
+    # search must refute them; the exact step counts pin the search tree.
+    # A 30-vertex graph of a shuffled 3-uniform word is representable and
+    # the search must find an orientation
+    for g6, steps in ((M5, 8276), (GROTZSCH, 1757)):
+        _fresh_memos(monkeypatch)
+        budget = recognition._Budget(recognition._VERIFY_BUDGET)
+        assert recognition._find_semi_transitive(decode_graph6(g6), budget) is None
+        assert budget.steps - budget.left == steps
     _fresh_memos(monkeypatch)
     word = decode_graph6("]I?A_GP?OAGO@???AgG??AG?@@_a?O?_O????_???????C_OMH`????LC@WOP?E?OJ?oGG?G?O")
     o = recognition._find_semi_transitive(word, recognition._Budget(1000))
@@ -504,11 +506,13 @@ def test_race_answers_with_whichever_search_ends_first():
 def test_race_cuts_the_ranked_orders_tail(monkeypatch):
     # the graph of a shuffled 2-uniform word on 16 letters: the search in
     # maximum-cardinality order alone takes 1,101,358 propagator calls,
-    # index order 2,705
+    # index order 2,705; raced, both together take exactly 12,823
     _fresh_memos(monkeypatch)
     g = decode_graph6("Ow}b^oayvo|~}Vyr~Jy??")
-    o = recognition._find_semi_transitive(g, recognition._Budget(20_000))
+    budget = recognition._Budget(20_000)
+    o = recognition._find_semi_transitive(g, budget)
     assert o is not None and check_semi_transitive(o)
+    assert budget.steps - budget.left == 12_823
 
 
 def test_forcing_pass_keeps_every_verdict(monkeypatch):
@@ -536,8 +540,8 @@ def test_forcing_pass_keeps_every_verdict(monkeypatch):
 
 def _record_searches(monkeypatch) -> tuple[list, list]:
     """Fresh memos, and two lists that record the graphs handed to
-    `_backtrack` and to `_find_transitive`."""
-    searched = record_calls(monkeypatch, recognition, "_backtrack")
+    `_semi_transitive_search` and to `_find_transitive`."""
+    searched = record_calls(monkeypatch, recognition, "_semi_transitive_search")
     decided = record_calls(monkeypatch, recognition, "_find_transitive")
     _fresh_memos(monkeypatch)
     return searched, decided
@@ -766,7 +770,7 @@ def test_verify_certificate_past_the_cap(monkeypatch):
     assert verify_certificate(grotzsch, Certificate(WITNESS, everything)) == []
     # a hub over C11 refuses the wheel, so it verifies with no search
     w11 = Graph.from_edges(12, c11.edges() + [(v, 11) for v in everything])
-    searched = record_calls(monkeypatch, recognition, "_backtrack")
+    searched = record_calls(monkeypatch, recognition, "_semi_transitive_search")
     assert verify_certificate(w11, Certificate(WITNESS, everything + (11,))) == []
     assert searched == []
     # a budget that runs out neither confirms nor refutes the claim
