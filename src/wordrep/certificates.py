@@ -78,22 +78,18 @@ class Decomposition:
 class MuResult:
     """Outcome of an exact cover-number search.
 
-    status is one of "exact" (all smaller part counts exhausted),
-    "upper-bound" (a cover was found but some smaller count was cut off by
-    the budget), or "unknown" (budget ran out before any cover appeared, in
-    which case value is None and parts is empty). Parts are orientation
+    status is "exact" (all smaller part counts exhausted) or "upper-bound"
+    (some smaller count was cut off by the budget). Parts are orientation
     certificates, as in `Decomposition`.
     """
 
-    value: Optional[int]
+    value: int
     parts: tuple[Certificate, ...]
     status: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.status not in ("exact", "upper-bound", "unknown"):
+        if self.status not in ("exact", "upper-bound"):
             raise InputError(f"unknown status {self.status!r}")
-        if (self.status == "unknown") != (self.value is None):
-            raise InputError("value must be None exactly when status is unknown")
 
     @property
     def exact(self) -> bool:

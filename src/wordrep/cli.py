@@ -36,11 +36,11 @@ within 50,000 steps each, and exit 3 when those run out. It never
 re-derives the host-level answer. Every record is checked, and a budget
 that runs out in one exits 3 only when no record failed.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 the search
-budget ran out before the answer was known, 4 internal error (a broken
-invariant or an exhausted interpreter limit, never a verdict on the input),
-141 (128 + SIGPIPE) the reader closed standard output before the document
-was written.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 a check's
+search budget ran out before the claim was confirmed or refuted (plain `mu`
+always answers), 4 internal error (a broken invariant or an exhausted
+interpreter limit, never a verdict on the input), 141 (128 + SIGPIPE) the
+reader closed standard output before the document was written.
 """
 
 from __future__ import annotations
@@ -327,9 +327,6 @@ def cmd_mu(args: argparse.Namespace) -> int:
         raise InputError("mu takes one graph unless --constructive names a product form")
     g = graphs[0]
     r = mu_exact(g, budget=args.budget)
-    if r.status == "unknown":
-        _emit(_document(g, "mu", {"mu": None, "status": "unknown"}, [], t0))
-        return 3
     result = {"mu": r.value, "status": r.status, "parts": len(r.parts)}
     _emit(_document(g, "mu", result, [_decomposition_record(as_decomposition(g, r))], t0))
     return 0
@@ -353,12 +350,12 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
         if name == "product-two":
             d = decompose_product_two(p)
         elif name == "product-general":
-            d1 = _factor_cover(graphs[0], args.budget)
-            d2 = _factor_cover(graphs[1], args.budget)
+            d1 = as_decomposition(graphs[0], mu_exact(graphs[0], args.budget))
+            d2 = as_decomposition(graphs[1], mu_exact(graphs[1], args.budget))
             d = decompose_product_general(p, d1, d2)
         elif name == "product-tight":
             classes = _parse_edge_classes(args.split, "--split")
-            d1 = _factor_cover(graphs[0], args.budget)
+            d1 = as_decomposition(graphs[0], mu_exact(graphs[0], args.budget))
             d = decompose_product_tight(p, d1, classes)
         else:
             d = decompose_min_nonwr_product(p, r=0 if args.root is None else args.root)
@@ -379,15 +376,6 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
     }
     _emit(_document(d.host, label, result, [_decomposition_record(d)], t0))
     return 0
-
-
-def _factor_cover(g: Graph, budget: Optional[int]) -> Decomposition:
-    r = mu_exact(g, budget=budget)
-    if r.status == "unknown":
-        raise BudgetExceeded(
-            f"cover search on factor {encode_graph6(g)} ran out before finding a cover"
-        )
-    return as_decomposition(g, r)
 
 
 def cmd_lex(args: argparse.Namespace) -> int:

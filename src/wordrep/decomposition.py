@@ -82,8 +82,6 @@ def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
     which certifies the lower bound 2 with `wr_decide`'s inclusion-minimal
     witness; exactness above 2 rests on the exhausted search and is not
     carried as a certificate."""
-    if r.value is None:
-        raise InputError("cover result has no parts to wrap")
     bound, witness = 1, None
     if r.value >= 2:
         bound, witness = 2, wr_decide(g)[1].payload

@@ -951,50 +951,59 @@ def _cover_search(g: Graph, k: int, budget: Optional[_Budget], part_ok=is_wr) ->
     return [Graph(n, tuple(rows)) for rows in padj]
 
 
-def _colour_bits(g: Graph) -> int:
-    """⌈log2 χ⌉ for the colour count χ of a greedy colouring of g. Giving
-    each edge the lowest bit where its ends' colours differ splits g into
-    that many bipartite, hence representable, parts (Harary, Hsu & Miller
-    1977), so μ(g) is at most this."""
+def _colour_cover(g: Graph) -> list[Orientation]:
+    """A cover of g by at most ⌈log₃ χ⌉ semi-transitive parts, for the
+    colour count χ of a greedy index-order colouring. Each edge goes to the
+    part of the highest base-3 digit where its ends' colours differ,
+    oriented from the smaller digit to the larger. Within a part, arcs
+    raise that digit, so a directed path has at most 2 arcs and no shortcut
+    exists (every 3-colourable graph is representable: Halldórsson, Kitaev
+    & Pyatkin 2016). One orientation per non-empty digit, lowest digit
+    first."""
     colour = [0] * g.n
     for v in range(g.n):
         taken = 0
         for u in bits(g.adj[v] & ((1 << v) - 1)):
             taken |= 1 << colour[u]
         colour[v] = (~taken & (taken + 1)).bit_length() - 1
-    return max(colour, default=0).bit_length()
+    arcs: dict[int, list[tuple[int, int]]] = {}
+    for u, v in g.edges():
+        a, b, d = colour[u], colour[v], 0
+        while a // 3 != b // 3:
+            a, b, d = a // 3, b // 3, d + 1
+        arcs.setdefault(d, []).append((u, v) if a % 3 < b % 3 else (v, u))
+    return [Orientation.from_arcs(Graph.from_edges(g.n, arcs[d]), arcs[d]) for d in sorted(arcs)]
 
 
 def mu_exact(g: Graph, budget: Optional[int] = None) -> MuResult:
     """Smallest number of word-representable spanning subgraphs whose edge
-    union is g, found by exhausting part counts bottom-up.
+    union is g.
 
-    `budget` caps the assignments tried per part count, not the decisions
-    inside them, so the memo cannot change the result. A level cut short by
-    the budget downgrades any later answer to an upper bound; if the budget
-    kills every level before a cover shows up the result is unknown. Once a
-    level is cut short, part counts stop at `_colour_bits(g)`, where a cover
-    is known to exist; an unbudgeted search finds one there at the latest.
-    Each part is the orientation certificate `wr_decide` gives it. A
+    A representable g answers 1. Otherwise `_colour_cover` gives a cover,
+    and the part counts from 2 up to one below its size are searched, each
+    under its own `budget` of assignments when given (the decisions inside
+    are not counted, so the memo cannot change the result). The first count
+    with a cover answers; if none has one, the colouring cover does, its
+    orientations certifying the parts. A count cut short by the budget
+    makes the answer an upper bound. So a graph whose greedy colouring has
+    at most 9 colours answers 2, exactly, with no search. The searched
+    parts are the orientation certificates `wr_decide` gives them. A
     negative budget is refused.
     """
     if budget is not None and budget < 0:
         raise InputError(f"budget must not be negative, got {budget}")
     if is_wr(g):
         return MuResult(1, (wr_decide(g)[1],), "exact")
-    all_exhausted, top, k = True, 0, 2
-    while all_exhausted or k <= top:
+    cover, status = _colour_cover(g), "exact"
+    for k in range(2, len(cover)):
         try:
-            cover = _cover_search(g, k, None if budget is None else _Budget(budget))
+            found = _cover_search(g, k, None if budget is None else _Budget(budget))
         except BudgetExceeded:
-            cover = None
-            if all_exhausted:
-                all_exhausted, top = False, max(2, _colour_bits(g))
-        if cover is not None:
-            parts = tuple(wr_decide(part)[1] for part in cover)
-            return MuResult(k, parts, "exact" if all_exhausted else "upper-bound")
-        k += 1
-    return MuResult(None, (), "unknown")
+            status = "upper-bound"
+            continue
+        if found is not None:
+            return MuResult(k, tuple(wr_decide(part)[1] for part in found), status)
+    return MuResult(len(cover), tuple(Certificate(SEMI_TRANSITIVE, o) for o in cover), status)
 
 
 # ── certificate verification ─────────────────────────────────────────────

@@ -189,26 +189,30 @@ def test_mu_exact_and_trivial():
     assert doc(out)["result"]["mu"] == 1
 
 
-def test_mu_budget_runs_out():
-    code, out, _ = run(["mu", W5, "--budget", "1"])
-    assert code == 3
-    assert doc(out)["result"] == {"mu": None, "status": "unknown"}
+def test_mu_answers_on_any_budget_below_ten_colours():
+    # W5 takes 4 greedy colours, so its colouring cover has 2 parts and no
+    # part count is searched: a budget of 0 or 1 still answers exactly
+    for budget in ("0", "1"):
+        code, out, _ = run(["mu", W5, "--budget", budget])
+        assert code == 0
+        assert doc(out)["result"] == {"mu": 2, "status": "exact", "parts": 2}
+        assert reverify(out) == 0
 
 
-def test_factor_cover_out_of_budget_exits_three():
-    # the search on the wheel factor stops before it finds a cover
+def test_factor_covers_answer_on_any_budget():
+    # the wheel factor's colouring cover needs no search either
     for form in (["product-general"], ["product-tight", "--split", SPLIT_C5]):
-        code, _, err = run(["mu", W5, C5, "--constructive", *form, "--budget", "1"])
-        assert code == 3 and "budget exhausted" in err, form
+        code, out, err = run(["mu", W5, C5, "--constructive", *form, "--budget", "1"])
+        assert code == 0, (form, err)
+        assert reverify(out) == 0, form
 
 
 def test_negative_budget_is_an_input_error():
-    # malformed input, not a budget that ran out; 0 is a budget that does
+    # malformed input, not a budget that ran out; a budget of 0 answers
+    # (test_mu_answers_on_any_budget_below_ten_colours)
     for argv in (["mu", W5], ["mu", C5], ["mu", W5, C5, "--constructive", "product-general"]):
         code, out, err = run([*argv, "--budget", "-3"])
         assert (code, out) == (2, "") and "budget must not be negative" in err, argv
-    code, out, _ = run(["mu", W5, "--budget", "0"])
-    assert code == 3 and doc(out)["result"]["status"] == "unknown"
 
 
 def test_mu_constructive_power():
@@ -547,25 +551,6 @@ def mycielskian(g: Graph) -> Graph:
     return Graph.from_edges(2 * n + 1, es + shadows + [(n + i, 2 * n) for i in range(n)])
 
 
-def bipartite_parts(g: Graph) -> list[dict]:
-    """Part records of a cover by bipartite parts: a greedy colouring, with
-    each edge in the part of the lowest bit where its ends' colours differ,
-    oriented from the end with that bit clear. No vertex has an arc in and
-    an arc out in the same part, so every part is transitive."""
-    colour: list[int] = []
-    for v in range(g.n):
-        taken = {colour[u] for u in g.neighbors(v) if u < v}
-        colour.append(min(set(range(g.n + 1)) - taken))
-    arcs: dict[int, list[list[int]]] = {}
-    for u, v in g.edges():
-        diff = colour[u] ^ colour[v]
-        b = (diff & -diff).bit_length() - 1
-        arcs.setdefault(b, []).append([u, v] if not colour[u] >> b & 1 else [v, u])
-    return [{"edges": sorted(sorted(a) for a in part),
-             "certificate": {"kind": "transitive-orientation", "arcs": sorted(part)}}
-            for part in arcs.values()]
-
-
 def test_verify_decides_no_large_triangle_free_witness():
     # M7, the fourth Mycielskian of C5: 95 vertices, triangle-free, so no
     # vertex has an edge in its neighbourhood and none refuses it. Deciding
@@ -580,15 +565,32 @@ def test_verify_decides_no_large_triangle_free_witness():
     # with no parts, the uncovered edges are a definite failure
     proc = child(["verify", "-"], stdin=claim(m7, [bound]), timeout=10)
     assert proc.returncode == 1 and "covered by no part" in proc.stderr
+
+    def colour_parts(g: Graph) -> list[dict]:
+        return [{"edges": [list(e) for e in o.host.edges()],
+                 "certificate": {"kind": "semi-transitive-orientation", "arcs": [list(a) for a in o.arcs()]}}
+                for o in recognition._colour_cover(g)]
+
     # with a verified cover, only the bound is left, and its search runs out
     # of steps
-    bound["parts"] = bipartite_parts(m7)
+    bound["parts"] = colour_parts(m7)
     proc = child(["verify", "-"], stdin=claim(m7, [bound]), timeout=10)
     assert proc.returncode == 3 and "all 50000 steps of its budget" in proc.stderr
     # M6's search ends within the budget, so its bound verifies
-    bound.update(parts=bipartite_parts(m6), lower_bound_witness=list(range(47)))
+    bound.update(parts=colour_parts(m6), lower_bound_witness=list(range(47)))
     proc = child(["verify", "-"], stdin=claim(m6, [bound]), timeout=10)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_mu_covers_the_mycielskian_of_six_colours_with_no_search():
+    # M6 is not representable, and its greedy colouring has at most 9
+    # colours, so its base-3 colouring cover settles μ = 2 exactly
+    m6 = cycle_graph(5)
+    for _ in range(3):
+        m6 = mycielskian(m6)
+    r = recognition.mu_exact(m6)
+    assert (r.value, r.status) == (2, "exact")
+    assert not recognition.verify_decomposition(m6, r)
 
 
 def test_one_witness_verifies_alike_in_every_document():
@@ -883,9 +885,9 @@ def test_closed_stdout_exits_141_without_traceback():
 
 
 def test_budgeted_mu_stops_at_the_colouring_bound():
-    # W5 over W5 has 36 vertices and greedily takes 16 colours, so 4
-    # bipartite parts cover it; a budgeted search tries no more part counts,
-    # whose part subsets would double the memory at every further count
+    # W5 over W5 has 36 vertices and greedily takes 16 colours, so
+    # ⌈log₃ 16⌉ = 3 parts cover it; a budgeted search tries only 2 parts,
+    # is cut short, and the colouring cover answers as an upper bound
     host = encode_graph6(lex_product(wheel_graph(5), wheel_graph(5)).graph)
 
     def limit_memory():
@@ -894,4 +896,6 @@ def test_budgeted_mu_stops_at_the_colouring_bound():
     proc = subprocess.run([sys.executable, "-m", "wordrep", "mu", host, "--budget", "500"],
                           env=child_env(), capture_output=True, text=True, timeout=60,
                           preexec_fn=limit_memory)
-    assert proc.returncode in (0, 3), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert doc(proc.stdout)["result"] == {"mu": 3, "status": "upper-bound", "parts": 3}
+    assert reverify(proc.stdout) == 0

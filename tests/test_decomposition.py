@@ -380,11 +380,6 @@ def test_wrapping_an_exact_cover_keeps_its_bound():
     assert not verify_decomposition(w5, dw5)
 
 
-def test_wrapping_requires_a_found_cover():
-    with pytest.raises(InputError):
-        as_decomposition(wheel_graph(5), mu_exact(wheel_graph(5), budget=3))
-
-
 def test_lower_bound_witness_is_checked():
     w5, dw5 = w5_cover()
     bad = dataclasses.replace(dw5, lower_bound_witness=(0, 1, 2))  # triangle: representable

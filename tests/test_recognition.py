@@ -40,6 +40,7 @@ from wordrep.graphs import (
     path_graph,
     wheel_graph,
 )
+from wordrep.lexops import lex_product
 from wordrep.recognition import (
     check_semi_transitive,
     check_transitive,
@@ -685,8 +686,29 @@ def test_mu_exact_extremal8(h8):
 
 
 def test_mu_budget_exhaustion(w5):
-    r = mu_exact(w5, budget=3)
-    assert r.status == "unknown" and r.value is None and not r.exact
+    # W5 over W5 takes 16 greedy colours, so its colouring cover has 3
+    # parts; the 2-part search runs out of its budget, and the colouring
+    # cover answers as an upper bound
+    g = lex_product(w5, w5).graph
+    r = mu_exact(g, budget=500)
+    assert (r.value, r.status) == (3, "upper-bound") and not r.exact
+    assert not verify_decomposition(g, r)
+
+
+def test_colouring_cover_agrees_with_the_cover_search():
+    # every non-representable graph of the exhaustive corpus, and 50
+    # planted wheels on each of 8-11 vertices: μ is exact, verified, and
+    # the least part count the cover search finds a cover for
+    rng = random.Random(20261020)
+    failing = [g for g in _exhaustive_corpus() if not is_wr(g)]
+    failing += [planted_w5(rng, n) for n in range(8, 12) for _ in range(50)]
+    for g in failing:
+        r = mu_exact(g)
+        assert r.exact and not verify_decomposition(g, r)
+        k = 2
+        while recognition._cover_search(g, k, None) is None:
+            k += 1
+        assert r.value == k
 
 
 def test_cover_search_runs_without_a_frame_per_edge(w5):
