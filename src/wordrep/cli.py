@@ -86,18 +86,24 @@ from .recognition import (
 )
 
 _ORIENTATION_KINDS = (SEMI_TRANSITIVE, TRANSITIVE)
-# The options each mode reads: plain `mu` (None), each construction, and each
-# `lex` operation. Any other of them given is refused rather than ignored.
+# Each mode of plain `mu` (None), each construction, and each `lex` operation:
+# the number of graphs it reads and the options it reads. Any other of those
+# options given is refused rather than ignored, and so is any other count.
 _MU_READS = {
-    None: ("budget",),
-    "product-two": (),
-    "power": ("k",),
-    "power-comparability": ("k", "split"),
-    "product-general": ("budget",),
-    "product-tight": ("split", "budget"),
-    "min-product": ("root",),
+    None: (1, ("budget",)),
+    "product-two": (2, ()),
+    "power": (1, ("k",)),
+    "power-comparability": (1, ("k", "split")),
+    "product-general": (2, ("budget",)),
+    "product-tight": (2, ("split", "budget")),
+    "min-product": (2, ("root",)),
 }
-_LEX_READS = {"product": (), "power": ("k",), "map": ("edges",), "special": ("edges", "fills")}
+_LEX_READS = {
+    "product": (2, ()),
+    "power": (1, ("k",)),
+    "map": (2, ("edges",)),
+    "special": (2, ("edges", "fills")),
+}
 
 
 # ── input handling ────────────────────────────────────────────────────────
@@ -309,22 +315,28 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_unread(args: argparse.Namespace, label: str, reads: dict, mode: Optional[str]) -> None:
-    """Refuse each option named in `reads` that is given but not read by `mode`."""
-    for name in dict.fromkeys(o for names in reads.values() for o in names):
-        if getattr(args, name) is not None and name not in reads[mode]:
+def _mode_graphs(
+    args: argparse.Namespace, label: str, reads: dict, mode: Optional[str]
+) -> list[Graph]:
+    """Read `mode`'s input graphs, after refusing each option of `reads`
+    that `mode` does not read and any other number of inputs."""
+    count, options = reads[mode]
+    for name in dict.fromkeys(o for _, names in reads.values() for o in names):
+        if getattr(args, name) is not None and name not in options:
             raise InputError(f"--{name} does not apply to {label}")
+    given = len(args.inputs)
+    if given != count:
+        hint = "; two factors need --constructive" if mode is None else ""
+        raise InputError(f"{label} takes {count} graph{'s' * (count > 1)}, not {given}{hint}")
+    return [_read_graph(s) for s in args.inputs]
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
     label = "mu" if args.constructive is None else f"mu --constructive {args.constructive}"
-    _refuse_unread(args, label, _MU_READS, args.constructive)
-    graphs = [_read_graph(s) for s in args.inputs]
+    graphs = _mode_graphs(args, label, _MU_READS, args.constructive)
     t0 = time.perf_counter()
     if args.constructive:
         return _mu_constructive(args, graphs, t0)
-    if len(graphs) != 1:
-        raise InputError("mu takes one graph unless --constructive names a product form")
     g = graphs[0]
     r = mu_exact(g, budget=args.budget)
     result = {"mu": r.value, "status": r.status, "parts": len(r.parts)}
@@ -335,8 +347,6 @@ def cmd_mu(args: argparse.Namespace) -> int:
 def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -> int:
     name = args.constructive
     if name in ("power", "power-comparability"):
-        if len(graphs) != 1:
-            raise InputError(f"--constructive {name} takes one base graph")
         g, k = graphs[0], 2 if args.k is None else args.k
         if name == "power":
             d = decompose_power_k(g, k)
@@ -344,8 +354,6 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
             classes = _parse_edge_classes(args.split, "--split", want=2)
             d = decompose_power_two_comparability(g, (classes[0], classes[1]), k)
     else:
-        if len(graphs) != 2:
-            raise InputError(f"--constructive {name} takes two factor graphs")
         p = lex_product(graphs[0], graphs[1])
         if name == "product-two":
             d = decompose_product_two(p)
@@ -379,43 +387,24 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
 
 
 def cmd_lex(args: argparse.Namespace) -> int:
-    _refuse_unread(args, f"lex {args.op}", _LEX_READS, args.op)
-    graphs = [_read_graph(s) for s in args.inputs]
+    graphs = _mode_graphs(args, f"lex {args.op}", _LEX_READS, args.op)
     t0 = time.perf_counter()
     if args.op == "power":
-        if len(graphs) != 1:
-            raise InputError("lex power takes one graph")
         k = 2 if args.k is None else args.k
-        chain = lex_power(graphs[0], k)
-        graph = chain.graph
-        st = chain.head_structure()
-        structure: dict = {
-            "outer_n": st.outer_n,
-            "inner_n": st.inner_n,
-            "chain": [graphs[0].n] * k,
-        }
+        p, chain = lex_power(graphs[0], k), [graphs[0].n] * k
     else:
-        if len(graphs) != 2:
-            raise InputError(f"lex {args.op} takes two graphs")
         p = lex_product(graphs[0], graphs[1])
-        st = p.structure
-        structure = {
-            "outer_n": st.outer_n,
-            "inner_n": st.inner_n,
-            "chain": [st.outer_n, st.inner_n],
-        }
-        if args.op == "product":
-            graph = p.graph
-        elif args.op == "map":
-            m = lex_map(p, _parse_edge_list(args.edges, "--edges"))
-            graph = m.graph
-            structure["outer_edges"] = _sorted_edges(m.outer_edges)
-        else:
-            m = lex_map(p, _parse_edge_list(args.edges, "--edges"))
-            classes = _parse_edge_classes(args.fills, "--fills", want=st.outer_n)
-            s = special_subgraph(m, classes)
+        chain = [p.outer.n, p.inner.n]
+    st = p.structure
+    structure: dict = {"outer_n": st.outer_n, "inner_n": st.inner_n, "chain": chain}
+    graph = p.graph
+    if args.op in ("map", "special"):
+        m = lex_map(p, _parse_edge_list(args.edges, "--edges"))
+        graph = m.graph
+        structure["outer_edges"] = _sorted_edges(m.outer_edges)
+        if args.op == "special":
+            s = special_subgraph(m, _parse_edge_classes(args.fills, "--fills", want=st.outer_n))
             graph = s.graph
-            structure["outer_edges"] = _sorted_edges(m.outer_edges)
             structure["fills"] = [_sorted_edges(f) for f in s.fills]
     enc = encode_graph6(graph)
     if args.sidecar:
@@ -521,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("mu", help="cover number: exact search or a verified construction")
-    p.add_argument("inputs", nargs="+",
+    p.add_argument("inputs", nargs="*",
                    help="one graph, or two factors for product constructions")
     p.add_argument("--constructive", choices=[c for c in _MU_READS if c], default=None,
                    help="build a cover from the named construction instead of searching")
@@ -535,8 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("lex", help="construct a composition, power, map, or refilled map")
-    p.add_argument("op", choices=("product", "power", "map", "special"))
-    p.add_argument("inputs", nargs="+")
+    p.add_argument("op", choices=list(_LEX_READS))
+    p.add_argument("inputs", nargs="*")
     p.add_argument("--k", type=int, default=None, help="power exponent (k >= 1, default 2)")
     p.add_argument("--edges", default=None, metavar="JSON",
                    help="outer edge list for map/special")

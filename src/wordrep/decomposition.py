@@ -76,7 +76,7 @@ __all__ = [
     "decomposition_diagnostics",
 ]
 
-def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
+def as_decomposition(g: Graph, r) -> Decomposition:
     """Wrap a cover search result as a Decomposition of g. The parts certify
     the upper bound. A count of two or more means g is not representable,
     which certifies the lower bound 2 with `wr_decide`'s inclusion-minimal
@@ -85,7 +85,7 @@ def as_decomposition(g: Graph, r, provenance: str = "search") -> Decomposition:
     bound, witness = 1, None
     if r.value >= 2:
         bound, witness = 2, wr_decide(g)[1].payload
-    return Decomposition(g, tuple(r.parts), provenance, bound, witness)
+    return Decomposition(g, tuple(r.parts), "search", bound, witness)
 
 
 def _wr_orientation(g: Graph) -> Orientation:

@@ -5,7 +5,8 @@ outer graph G1 by a copy of the inner graph G2 (a supervertex); two vertices
 are adjacent when their outer vertices are, or when they share a supervertex
 whose inner copies are adjacent. Vertex (i, j) flattens to i*|G2| + j, so
 supervertices are contiguous blocks and the ids compose associatively like
-digits.
+digits. A power is a product too: `lex_power` returns G^[k] as G over
+G^[k-1], the form every power result is proved in.
 
 A lexicographic map takes a set of outer edges and keeps only their complete
 cross joins, with nothing inside any supervertex; a special subgraph then
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .graphs import Graph, LexStructure, Orientation, bits, edge_set, empty_graph
+from .graphs import Graph, LexStructure, Orientation, bits, complete_graph, edge_set, empty_graph
 from .recognition import (
     check_semi_transitive,
     check_transitive,
@@ -48,25 +49,6 @@ class LexProduct:
     inner: Graph
     structure: LexStructure
     graph: Graph
-
-
-@dataclass(frozen=True)
-class LexPowerChain:
-    """The k-fold composition of a graph with itself.
-
-    Built bottom-up as power(r) = power(r-1) over base, so flat ids read as
-    k base-n digits with the outermost level most significant. Because the
-    composition is associative the same graph equals base over power(k-1),
-    which is the view `head_structure` exposes: the base graph's vertices
-    index n supervertices of size n^(k-1), each inducing the (k-1)-st power.
-    """
-
-    base: Graph
-    k: int
-    graph: Graph
-
-    def head_structure(self) -> LexStructure:
-        return LexStructure(self.base.n, self.base.n ** (self.k - 1))
 
 
 @dataclass(frozen=True)
@@ -120,14 +102,20 @@ def lex_product(g1: Graph, g2: Graph) -> LexProduct:
     return LexProduct(g1, g2, st, Graph(st.n, tuple(adj)))
 
 
-def lex_power(g: Graph, k: int) -> LexPowerChain:
-    """The k-th composition power of g; k = 1 is g itself."""
+def lex_power(g: Graph, k: int) -> LexProduct:
+    """The k-th composition power of g, as g over its (k-1)-st power (the
+    1-vertex graph when k = 1). Flat ids read as k base-n digits with the
+    outermost level most significant, so each of g's n supervertices is a
+    block of n^(k-1) vertices inducing the (k-1)-st power.
+
+    Built bottom-up, power(r) = power(r-1) over g; composition is
+    associative, so the last level equals g over power(k-1)."""
     if k < 1:
         raise InputError("power must be at least 1")
-    current = g
+    inner, current = complete_graph(1), g
     for _ in range(k - 1):
-        current = lex_product(current, g).graph
-    return LexPowerChain(g, k, current)
+        inner, current = current, lex_product(current, g).graph
+    return LexProduct(g, inner, LexStructure(g.n, inner.n), current)
 
 
 def lex_map(p: LexProduct, outer_edges: Iterable[tuple[int, int]]) -> LexMapGraph:

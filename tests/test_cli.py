@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import planted_w5, record_calls
 import wordrep
-from wordrep import decomposition, recognition
+from wordrep import cli, decomposition, recognition
 from wordrep.cli import main
 from wordrep.errors import InputError
 from wordrep.formats import encode_graph6, parse_graph
@@ -391,6 +391,44 @@ def test_each_option_belongs_to_the_command_that_reads_it():
     # the defaults still stand in for an option not given
     assert doc(run(["mu", C5, "--constructive", "power"])[1])["result"]["parts"] == 2
     assert run(["lex", "power", "A_", "--format", "g6"])[1].strip() == encode_graph6(complete_graph(4))
+
+
+def test_each_mode_takes_its_number_of_graphs():
+    counts = {
+        ("mu",): 1,
+        ("mu", "--constructive", "product-two"): 2,
+        ("mu", "--constructive", "power"): 1,
+        ("mu", "--constructive", "power-comparability"): 1,
+        ("mu", "--constructive", "product-general"): 2,
+        ("mu", "--constructive", "product-tight"): 2,
+        ("mu", "--constructive", "min-product"): 2,
+        ("lex", "product"): 2,
+        ("lex", "power"): 1,
+        ("lex", "map"): 2,
+        ("lex", "special"): 2,
+    }
+    assert {m[-1] for m in counts if m[0] == "mu" and len(m) > 1} == set(cli._MU_READS) - {None}
+    assert {m[1] for m in counts if m[0] == "lex"} == set(cli._LEX_READS)
+    for mode, count in counts.items():
+        # mu's mode flag goes after the inputs, lex's operation before them
+        head, tail = (mode[:1], mode[1:]) if mode[0] == "mu" else (mode, ())
+        # the extra input is `-` on an empty stdin, which would fail as an
+        # empty graph if it were read, so the count is checked first
+        for inputs in ([C5] * (count - 1), [C5] * count + ["-"]):
+            code, out, err = run([*head, *inputs, *tail], stdin="")
+            assert code == 2 and out == "", (mode, inputs)
+            assert f"takes {count} graph" in err and f"not {len(inputs)}" in err, (mode, err)
+    code, out, err = run(["mu", C5, C5])
+    assert code == 2 and out == "" and "--constructive" in err
+
+
+def test_lex_power_structure_records():
+    for k, structure in [
+        ("1", {"outer_n": 5, "inner_n": 1, "chain": [5]}),
+        ("3", {"outer_n": 5, "inner_n": 25, "chain": [5, 5, 5]}),
+    ]:
+        code, out, _ = run(["lex", "power", C5, "--k", k])
+        assert code == 0 and doc(out)["result"]["structure"] == structure
 
 
 def test_verify_rejects_broken_orientation():

@@ -115,7 +115,7 @@ def test_power_zero_rejected():
 def test_power_supervertices_induce_both_views():
     ch = lex_power(cycle_graph(5), 2)
     assert ch.graph.n == 25
-    head, tail = ch.head_structure(), LexStructure(25, 5)
+    head, tail = ch.structure, LexStructure(25, 5)
     for i in range(5):
         assert induced_subgraph(ch.graph, head.supervertex(i)) == cycle_graph(5)
     for i in range(5):
@@ -127,9 +127,22 @@ def test_power_head_view_matches_direct_product():
     c5 = cycle_graph(5)
     ch = lex_power(c5, 3)
     assert ch.graph == lex_product(c5, lex_power(c5, 2).graph).graph
-    head = ch.head_structure()
+    head = ch.structure
     sub = induced_subgraph(ch.graph, head.supervertex(3))
     assert sub == lex_power(c5, 2).graph
+
+
+def test_power_is_the_base_over_the_previous_power():
+    # lex_power builds power(k-1) over the base; composing the base over
+    # power(k-1) checks the head view it reports against that build
+    bases = [(complete_graph(2), 4), (path_graph(3), 4), (cycle_graph(5), 4), (extremal8(), 3)]
+    for base, top in bases:
+        for k in range(1, top + 1):
+            p = lex_power(base, k)
+            assert p.outer == base
+            assert p.inner == (complete_graph(1) if k == 1 else lex_power(base, k - 1).graph)
+            assert p.structure == LexStructure(base.n, base.n ** (k - 1))
+            assert p.graph == lex_product(base, p.inner).graph == lex_product(p.inner, base).graph
 
 
 # ── lexicographic maps ────────────────────────────────────────────────────
