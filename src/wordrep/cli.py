@@ -326,7 +326,7 @@ def _mode_graphs(
             raise InputError(f"--{name} does not apply to {label}")
     given = len(args.inputs)
     if given != count:
-        hint = "; two factors need --constructive" if mode is None else ""
+        hint = "; two factors need --constructive" if mode is None and given == 2 else ""
         raise InputError(f"{label} takes {count} graph{'s' * (count > 1)}, not {given}{hint}")
     return [_read_graph(s) for s in args.inputs]
 
@@ -525,7 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lex", help="construct a composition, power, map, or refilled map")
     p.add_argument("op", choices=list(_LEX_READS))
-    p.add_argument("inputs", nargs="*")
+    # not "*": argparse binds an empty "*" when an option follows the op
+    p.add_argument("inputs", nargs="+")
     p.add_argument("--k", type=int, default=None, help="power exponent (k >= 1, default 2)")
     p.add_argument("--edges", default=None, metavar="JSON",
                    help="outer edge list for map/special")
