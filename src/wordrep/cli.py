@@ -346,6 +346,11 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -> int:
     name = args.constructive
+
+    def cover(g: Graph) -> Decomposition:
+        """A factor's searched parts, all the constructions read of it."""
+        return Decomposition(g, mu_exact(g, args.budget).parts, "search")
+
     if name in ("power", "power-comparability"):
         g, k = graphs[0], 2 if args.k is None else args.k
         if name == "power":
@@ -358,13 +363,10 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
         if name == "product-two":
             d = decompose_product_two(p)
         elif name == "product-general":
-            d1 = as_decomposition(graphs[0], mu_exact(graphs[0], args.budget))
-            d2 = as_decomposition(graphs[1], mu_exact(graphs[1], args.budget))
-            d = decompose_product_general(p, d1, d2)
+            d = decompose_product_general(p, cover(graphs[0]), cover(graphs[1]))
         elif name == "product-tight":
             classes = _parse_edge_classes(args.split, "--split")
-            d1 = as_decomposition(graphs[0], mu_exact(graphs[0], args.budget))
-            d = decompose_product_tight(p, d1, classes)
+            d = decompose_product_tight(p, cover(graphs[0]), classes)
         else:
             d = decompose_min_nonwr_product(p, r=0 if args.root is None else args.root)
     label = f"mu --constructive {name}"

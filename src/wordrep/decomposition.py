@@ -25,8 +25,8 @@ where that subgraph has an edge and semi-transitive ones elsewhere.
 Powers are folds of these: g^[k] = g over g^[k-1], so each level applies
 the rule once with g's cover outside and the previous level's cover
 inside. The three-part cover of two minimal non-representable factors is
-three more applications of the rule, with different pieces per
-supervertex.
+three more applications of the rule with two inner pieces, a star and the
+rest of the inner factor, swapped between one block R and the others.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def decompose_product_general(
     each outer part becomes a lifted map, each inner part is copied into
     every supervertex.
 
-    The factor covers must verify, so each of their parts is already an
-    orientation of its edges. The lower bound is `_bound_two`'s."""
+    Only the factor covers' parts are read. They must verify, so each is
+    already an orientation of its edges. The bound is `_bound_two`'s."""
     g1, g2 = p.outer, p.inner
     if d1.host != g1 or d2.host != g2:
         raise InputError("factor covers must live on the product's factors")
@@ -263,11 +263,12 @@ def decompose_product_tight(
     splits into k1 comparability subgraphs: part i is the map of outer part
     i refilled with split class i inside every supervertex.
 
-    Picking one vertex per supervertex embeds the outer factor in the host,
-    so an outer cover's lower bound above 2 carries over, capped at k1, with
-    its witness moved to the first vertices of those supervertices. A bound
-    of 2 is `_bound_two`'s, so it is a cone whenever one applies. When the
-    outer factor needs k1 parts exactly, the count is optimal.
+    The outer cover's parts are read, and its lower bound only when it is
+    above 2: picking one vertex per supervertex embeds the outer factor in
+    the host, so such a bound carries over, capped at k1, with its witness
+    moved to the first vertices of those supervertices. Otherwise the bound
+    is `_bound_two`'s, so it is a cone whenever one applies. When the outer
+    factor needs k1 parts exactly, the count is optimal.
     """
     g1, g2 = p.outer, p.inner
     if d1.host != g1:
@@ -292,25 +293,20 @@ def decompose_product_tight(
 # ── the three-part cover for minimal non-representable factors ────────────
 
 
-def decompose_min_nonwr_product(
-    p: LexProduct,
-    r: int = 0,
-    roots: Optional[Sequence[int]] = None,
-    drop: int = 0,
-) -> Decomposition:
+def decompose_min_nonwr_product(p: LexProduct, r: int = 0) -> Decomposition:
     """Cover a composition of two minimal non-representable factors with
     three pairwise edge-disjoint parts.
 
-    Fix the supervertex block R of outer vertex r; each part is one
-    `orient_special` substitution. Part one lifts the outer factor without
-    r's edges, covering the cross edges avoiding R, and holds the inner
-    factor without a dropped vertex's edges in R and a star at a chosen
-    root in every other block. Part two has no cross edges: the dropped
-    vertex's star in R and each other block without its root's edges.
-    Part three lifts the outer star at r, covering the cross edges into R.
-    Minimality makes a factor without one vertex's edges representable;
-    those pieces sit only in supervertices without cross edges, and the
-    stars are transitive.
+    Fix the supervertex block R of outer vertex r and inner vertex 0; the
+    inner pieces are its star and the rest of the inner factor without
+    those edges. Each part is one `orient_special` substitution. Part one
+    lifts the outer factor without r's edges, covering the cross edges
+    avoiding R, and holds the rest in R and the star in every other block.
+    Part two has no cross edges and the pieces swapped. Part three lifts
+    the outer star at r, covering the cross edges into R. Minimality makes
+    a factor without one vertex's edges representable; those pieces sit
+    only in supervertices without cross edges, and the inner star, oriented
+    out of vertex 0, is transitive.
     """
     g1, g2 = p.outer, p.inner
     n, m = g1.n, g2.n
@@ -319,18 +315,7 @@ def decompose_min_nonwr_product(
         raise InputError("both factors must be minimal non-representable graphs")
     if not 0 <= r < n:
         raise InputError(f"supervertex index {r} out of range")
-    if roots is None:
-        roots = [0] * n
-    if len(roots) != n or any(not 0 <= a < m for a in roots):
-        raise InputError("roots must pick one inner vertex per supervertex")
-    if not 0 <= drop < m:
-        raise InputError(f"dropped vertex {drop} out of range")
     host = p.graph
-
-    def star(a: int) -> Orientation:
-        """A transitive orientation of g2's edges at inner vertex a."""
-        fill = Graph.from_edges(m, [(a, b) for b in g2.neighbors(a)])
-        return comparability_decide(fill)[1].payload
 
     def minus(g: Graph, a: int) -> Orientation:
         """A semi-transitive orientation of g without vertex a's edges."""
@@ -338,16 +323,11 @@ def decompose_min_nonwr_product(
             Graph(g.n, tuple(0 if v == a else row & ~(1 << a) for v, row in enumerate(g.adj)))
         )
 
-    # part one: the lift of g1 without r's edges, with R's interior minus
-    # `drop` in R and a rooted star in every other block
-    part1 = orient_special(
-        p, minus(g1, r), [minus(g2, drop) if i == r else star(roots[i]) for i in range(n)]
-    )
-    # part two: leftover interiors — the dropped vertex's star inside R,
-    # each other block minus its root
-    part2 = orient_special(
-        p, _edgeless(n), [star(drop) if i == r else minus(g2, roots[i]) for i in range(n)]
-    )
+    star_arcs = [(0, b) for b in g2.neighbors(0)]
+    star = Orientation.from_arcs(Graph.from_edges(m, star_arcs), star_arcs)
+    rest = minus(g2, 0)
+    part1 = orient_special(p, minus(g1, r), [rest if i == r else star for i in range(n)])
+    part2 = orient_special(p, _edgeless(n), [star if i == r else rest for i in range(n)])
     # part three: the lift of the outer star at r — all cross edges into R
     outer_star = Graph.from_edges(n, [(r, j) for j in g1.neighbors(r)])
     part3 = orient_special(p, _wr_orientation(outer_star), [_edgeless(m)] * n)

@@ -597,13 +597,20 @@ def mycielskian(g: Graph) -> Graph:
     return Graph.from_edges(2 * n + 1, es + shadows + [(n + i, 2 * n) for i in range(n)])
 
 
+def mycielskian_m6() -> Graph:
+    """M6, the third Mycielskian of C5: 47 vertices, triangle-free, six
+    colours."""
+    g = cycle_graph(5)
+    for _ in range(3):
+        g = mycielskian(g)
+    return g
+
+
 def test_verify_decides_no_large_triangle_free_witness():
     # M7, the fourth Mycielskian of C5: 95 vertices, triangle-free, so no
     # vertex has an edge in its neighbourhood and none refuses it. Deciding
     # the witness would be an orientation search the document picked.
-    m6 = cycle_graph(5)
-    for _ in range(3):
-        m6 = mycielskian(m6)
+    m6 = mycielskian_m6()
     m7 = mycielskian(m6)
     assert (m6.n, m7.n) == (47, 95)
     bound = {"kind": "decomposition", "provenance": "search", "parts": [],
@@ -631,12 +638,34 @@ def test_verify_decides_no_large_triangle_free_witness():
 def test_mu_covers_the_mycielskian_of_six_colours_with_no_search():
     # M6 is not representable, and its greedy colouring has at most 9
     # colours, so its base-3 colouring cover settles μ = 2 exactly
-    m6 = cycle_graph(5)
-    for _ in range(3):
-        m6 = mycielskian(m6)
+    m6 = mycielskian_m6()
     r = recognition.mu_exact(m6)
     assert (r.value, r.status) == (2, "exact")
     assert not recognition.verify_decomposition(m6, r)
+
+
+def test_product_covers_over_the_mycielskian_answer_at_once():
+    # a product construction reads only its factors' parts, so M6, whose
+    # triangle-free witness would be a shrink over all 47 vertices, is
+    # covered by its colouring parts alone; C5's cone bounds the product
+    m6 = encode_graph6(mycielskian_m6())
+    for form, interval in ((["product-tight", "--split", SPLIT_C5], [2, 2]),
+                           (["product-general"], [2, 3])):
+        made = child(["mu", m6, C5, "--constructive", *form], timeout=30)
+        assert made.returncode == 0, made.stderr
+        assert json.loads(made.stdout)["result"]["mu_interval"] == interval
+        checked = child(["verify", "-"], stdin=made.stdout, timeout=30)
+        assert checked.returncode == 0, checked.stderr
+
+
+def test_product_general_builds_no_factor_witness(monkeypatch):
+    # W5 is not representable, but the construction never asks why
+    monkeypatch.setattr(recognition, "_WR_MEMO", recognition._Memo())
+    monkeypatch.setattr(recognition, "_COMP_MEMO", recognition._Memo())
+    witnessed = record_calls(monkeypatch, recognition, "_wr_witness")
+    code, out, _ = run(["mu", W5, C5, "--constructive", "product-general"])
+    assert code == 0 and doc(out)["result"]["mu_interval"] == [2, 3]
+    assert witnessed == []
 
 
 def test_one_witness_verifies_alike_in_every_document():

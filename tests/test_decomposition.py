@@ -326,29 +326,18 @@ def test_min_product_parts_pin_their_edge_sets():
     def block(i, edges):
         return {(st.flat(i, a), st.flat(i, b)) for a, b in edges}
 
-    def star(a):
-        return [e for e in inner if a in e]
-
-    def minus(a):
-        return [e for e in inner if a not in e]
-
+    # inner vertex 0's star and the rest swap between block r and the others
+    star = [e for e in inner if 0 in e]
+    rest = [e for e in inner if 0 not in e]
     cross = {(u, v) for u, v in p.graph.edges() if st.split(u)[0] != st.split(v)[0]}
     for r in range(6):
         others = [i for i in range(6) if i != r]
-        for roots, drop in (([0] * 6, 0), ([(i + r) % 6 for i in range(6)], 5 - r)):
-            d = decompose_min_nonwr_product(p, r=r, roots=roots, drop=drop)
-            into_r = {(u, v) for u, v in cross if r in (st.split(u)[0], st.split(v)[0])}
-            part1 = (cross - into_r) | block(r, minus(drop))
-            part1 |= set().union(*(block(i, star(roots[i])) for i in others))
-            part2 = block(r, star(drop)).union(*(block(i, minus(roots[i])) for i in others))
-            assert [part_edges(pt) for pt in d.parts] == [part1, part2, into_r]
-
-
-def test_min_product_cover_root_and_drop_freedom():
-    w5 = wheel_graph(5)
-    p = lex_product(w5, w5)
-    d = decompose_min_nonwr_product(p, r=3, roots=[5, 4, 3, 2, 1, 0], drop=2)
-    assert not decomposition_diagnostics(d)
+        d = decompose_min_nonwr_product(p, r=r)
+        into_r = {(u, v) for u, v in cross if r in (st.split(u)[0], st.split(v)[0])}
+        part1 = (cross - into_r) | block(r, rest)
+        part1 |= set().union(*(block(i, star) for i in others))
+        part2 = block(r, star).union(*(block(i, rest) for i in others))
+        assert [part_edges(pt) for pt in d.parts] == [part1, part2, into_r]
 
 
 def test_min_product_cover_rejects_non_minimal_factors():
@@ -364,10 +353,6 @@ def test_min_product_cover_rejects_bad_indices():
     p = lex_product(w5, w5)
     with pytest.raises(InputError):
         decompose_min_nonwr_product(p, r=6)
-    with pytest.raises(InputError):
-        decompose_min_nonwr_product(p, roots=[0] * 5)
-    with pytest.raises(InputError):
-        decompose_min_nonwr_product(p, drop=9)
 
 
 # ── cover wrapping and lower-bound checking ────────────────────────────────

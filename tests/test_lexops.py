@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -39,12 +38,6 @@ from wordrep.recognition import (
 from conftest import random_graph, record_calls
 
 
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for sel in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
-
-
 # ── products and powers ───────────────────────────────────────────────────
 
 
@@ -79,14 +72,6 @@ def test_one_vertex_per_supervertex_induces_outer_factor(rng=random.Random(12)):
         p = lex_product(g1, g2)
         picks = [p.structure.flat(i, rng.randrange(g2.n)) for i in range(g1.n)]
         assert induced_subgraph(p.graph, picks) == g1
-
-
-def test_product_is_associative_exhaustively_small():
-    gs = [g for n in (1, 2, 3) for g in all_graphs(n)]
-    for a, b, c in itertools.product(gs, repeat=3):
-        left = lex_product(lex_product(a, b).graph, c).graph
-        right = lex_product(a, lex_product(b, c).graph).graph
-        assert left == right
 
 
 def test_product_is_associative_on_random_triples():
