@@ -346,11 +346,6 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -> int:
     name = args.constructive
-
-    def cover(g: Graph) -> Decomposition:
-        """A factor's searched parts, all the constructions read of it."""
-        return Decomposition(g, mu_exact(g, args.budget).parts, "search")
-
     if name in ("power", "power-comparability"):
         g, k = graphs[0], 2 if args.k is None else args.k
         if name == "power":
@@ -363,10 +358,11 @@ def _mu_constructive(args: argparse.Namespace, graphs: list[Graph], t0: float) -
         if name == "product-two":
             d = decompose_product_two(p)
         elif name == "product-general":
-            d = decompose_product_general(p, cover(graphs[0]), cover(graphs[1]))
+            c1, c2 = (mu_exact(g, args.budget) for g in graphs)
+            d = decompose_product_general(p, c1, c2)
         elif name == "product-tight":
             classes = _parse_edge_classes(args.split, "--split")
-            d = decompose_product_tight(p, cover(graphs[0]), classes)
+            d = decompose_product_tight(p, mu_exact(graphs[0], args.budget), classes)
         else:
             d = decompose_min_nonwr_product(p, r=0 if args.root is None else args.root)
     label = f"mu --constructive {name}"
@@ -410,7 +406,10 @@ def cmd_lex(args: argparse.Namespace) -> int:
             structure["fills"] = [_sorted_edges(f) for f in s.fills]
     enc = encode_graph6(graph)
     if args.sidecar:
-        Path(args.sidecar).write_text(_json(structure) + "\n")
+        try:
+            Path(args.sidecar).write_text(_json(structure) + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write --sidecar: {e}") from None
     if args.format == "g6":
         print(enc)
     elif args.format == "dot":

@@ -39,6 +39,7 @@ from .certificates import (
     WITNESS,
     Certificate,
     Decomposition,
+    MuResult,
 )
 from .errors import BudgetExceeded, InputError, InternalError
 from .graphs import Graph, LexStructure, Orientation, edge_set, induced_subgraph
@@ -216,21 +217,18 @@ def decompose_power_two_comparability(
 
 
 def decompose_product_general(
-    p: LexProduct, d1: Decomposition, d2: Decomposition
+    p: LexProduct, c1: MuResult | Decomposition, c2: MuResult | Decomposition
 ) -> Decomposition:
     """Cover a composition with k1 + k2 parts given covers of the factors:
     each outer part becomes a lifted map, each inner part is copied into
     every supervertex.
 
-    Only the factor covers' parts are read. They must verify, so each is
-    already an orientation of its edges. The bound is `_bound_two`'s."""
-    g1, g2 = p.outer, p.inner
-    if d1.host != g1 or d2.host != g2:
-        raise InputError("factor covers must live on the product's factors")
-    if verify_decomposition(g1, d1) or verify_decomposition(g2, d2):
+    Each factor cover, a `MuResult` or a `Decomposition`, is read only
+    for its parts, which must verify. The bound is `_bound_two`'s."""
+    if verify_decomposition(p.outer, c1) or verify_decomposition(p.inner, c2):
         raise InputError("factor cover does not verify")
     parts = _cross_and_copies(
-        p, [c.payload for c in d1.parts], [c.payload for c in d2.parts]
+        p, [c.payload for c in c1.parts], [c.payload for c in c2.parts]
     )
     return Decomposition(p.graph, _parts(parts), "product-general", *_bound_two(p))
 
@@ -256,38 +254,27 @@ def _bound_two(p: LexProduct) -> tuple[int, Optional[tuple[int, ...]]]:
 
 def decompose_product_tight(
     p: LexProduct,
-    d1: Decomposition,
+    c1: MuResult | Decomposition,
     comp_split: Sequence[Iterable[tuple[int, int]]],
 ) -> Decomposition:
     """Cover a composition with exactly k1 parts when the inner factor
     splits into k1 comparability subgraphs: part i is the map of outer part
     i refilled with split class i inside every supervertex.
 
-    The outer cover's parts are read, and its lower bound only when it is
-    above 2: picking one vertex per supervertex embeds the outer factor in
-    the host, so such a bound carries over, capped at k1, with its witness
-    moved to the first vertices of those supervertices. Otherwise the bound
-    is `_bound_two`'s, so it is a cone whenever one applies. When the outer
-    factor needs k1 parts exactly, the count is optimal.
+    The outer cover, a `MuResult` or a `Decomposition`, is read only for
+    its parts, which must verify. The bound is `_bound_two`'s, so it is a
+    cone whenever one applies. When the outer factor needs k1 parts
+    exactly, the count is optimal.
     """
-    g1, g2 = p.outer, p.inner
-    if d1.host != g1:
-        raise InputError("outer cover must live on the outer factor")
-    if verify_decomposition(g1, d1):
+    if verify_decomposition(p.outer, c1):
         raise InputError("outer cover does not verify")
-    k1 = len(d1.parts)
+    k1 = len(c1.parts)
     if len(comp_split) > k1:
         raise InputError("more inner split classes than outer parts")
-    fills = _comparability_split(g2, comp_split, range(k1), "inner factor")
-    fills += [_edgeless(g2.n)] * (k1 - len(fills))
-    parts = _refilled(p, [c.payload for c in d1.parts], fills)
-
-    if d1.lower_bound > 2:
-        bound = min(k1, d1.lower_bound)
-        witness = tuple(p.structure.flat(i, 0) for i in d1.lower_bound_witness)
-    else:
-        bound, witness = _bound_two(p)
-    return Decomposition(p.graph, _parts(parts), "product-tight", bound, witness)
+    fills = _comparability_split(p.inner, comp_split, range(k1), "inner factor")
+    fills += [_edgeless(p.inner.n)] * (k1 - len(fills))
+    parts = _refilled(p, [c.payload for c in c1.parts], fills)
+    return Decomposition(p.graph, _parts(parts), "product-tight", *_bound_two(p))
 
 
 # ── the three-part cover for minimal non-representable factors ────────────

@@ -1054,8 +1054,8 @@ def verify_decomposition(g: Graph, d) -> list[str]:
     """Diagnostics for a cover: every part must be an orientation whose host
     is a spanning subgraph of g and passes its own check, and the parts'
     hosts must union to g's edges. Edge sets are compared as adjacency
-    rows. Accepts any object with a `parts` attribute (Decomposition,
-    MuResult)."""
+    rows. Accepts any object with a `parts` attribute, as the product
+    constructions' factor covers are (Decomposition, MuResult)."""
     diags = []
     covered = [0] * g.n
     for idx, cert in enumerate(d.parts):

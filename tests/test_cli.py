@@ -308,6 +308,13 @@ def test_lex_map_empty_and_sidecar(tmp_path):
     assert st == {"outer_n": 2, "inner_n": 2, "chain": [2, 2], "outer_edges": []}
 
 
+def test_lex_sidecar_that_cannot_be_written_is_an_input_error(tmp_path):
+    side = tmp_path / "missing" / "s.json"
+    code, out, err = run(["lex", "product", "A_", "A_", "--sidecar", str(side)])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "--sidecar" in err
+
+
 def test_lex_special_structure():
     fills = json.dumps([[[0, 1]], [[1, 2]], [], [], []])
     code, out, _ = run(["lex", "special", C5, "Ch",

@@ -243,22 +243,47 @@ def test_tight_product_cover_single_part_is_the_product():
 
 def test_tight_product_bound_comes_from_the_outer_cover(monkeypatch):
     # a three-part cover of W5 (spokes, a rim path, the rest of the rim)
-    # that claims the bound 2 with the whole wheel as its witness; C5 is not
-    # a comparability graph, so the product's bound 2 is the cone instead
+    # that claims the bound 2, then the false bound 3 (mu(W5) = 2), with the
+    # whole wheel as its witness; C5 is not a comparability graph, so the
+    # product's bound is the cone's 2 either way
     w5 = wheel_graph(5)
     classes = [[(i, 5) for i in range(5)], [(0, 1), (1, 2), (2, 3)], [(3, 4), (0, 4)]]
     parts = tuple(recognition.wr_decide(Graph.from_edges(6, es))[1] for es in classes)
-    d1 = Decomposition(w5, parts, "search", 2, tuple(range(6)))
 
     def no_search(*args):
         raise AssertionError("the outer factor's cover search ran again")
 
     monkeypatch.setattr(recognition, "_cover_search", no_search)
     p = lex_product(w5, cycle_graph(5))
-    d = decompose_product_tight(p, d1, list(C5_SPLIT))
-    assert d.value == 3 and d.lower_bound == 2
-    assert d.lower_bound_witness == supervertex_witness(p.structure, w5)
-    assert not decomposition_diagnostics(d)
+    for claimed in (2, 3):
+        d1 = Decomposition(w5, parts, "search", claimed, tuple(range(6)))
+        d = decompose_product_tight(p, d1, list(C5_SPLIT))
+        assert d.value == 3 and d.lower_bound == 2
+        assert d.lower_bound_witness == supervertex_witness(p.structure, w5)
+        assert not decomposition_diagnostics(d)
+
+
+def test_product_covers_take_mu_exact_results_as_they_are():
+    # a factor cover is read only for its parts, so a bare `mu_exact` result
+    # builds the same cover, bound and witness as its wrapped Decomposition;
+    # the 8-vertex graph over P3 places its witness on first vertices
+    w5, c5, h8, p3 = wheel_graph(5), cycle_graph(5), extremal8(), path_graph(3)
+
+    def products(cover):
+        h8p3 = lex_product(h8, p3)
+        return [
+            decompose_product_general(lex_product(w5, w5), cover(w5), cover(w5)),
+            decompose_product_tight(lex_product(w5, c5), cover(w5), list(C5_SPLIT)),
+            decompose_product_general(h8p3, cover(h8), cover(p3)),
+            decompose_product_tight(h8p3, cover(h8), [p3.edges()]),
+        ]
+
+    wrapped = products(lambda g: as_decomposition(g, mu_exact(g)))
+    for bare, d in zip(products(mu_exact), wrapped):
+        assert (bare.parts, bare.lower_bound, bare.lower_bound_witness) == (
+            d.parts, d.lower_bound, d.lower_bound_witness
+        )
+        assert not decomposition_diagnostics(bare)
 
 
 def test_product_bounds_place_the_factor_witness():
